@@ -7,6 +7,9 @@ comma-separated indices, ``2,5,9,14``, or in the product form
 ``x_2*x_5*x_9*x_14``.  Ideals are read one monomial per line from a file or
 stdin.
 
+Each subcommand is one row of ``COMMANDS``; the parser and ``main`` are
+both driven by that table alone.
+
 Exit status: 0 on success, 1 on domain errors (with the library's message on
 stderr), 2 on usage errors.
 """
@@ -16,19 +19,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
-from . import construct, count, kk, oracle
+from . import construct, core, count, kk, oracle
 from .betti import CornerConfig, extremal_corners, graded_betti, realize_extremal_betti
-from .core import (
-    Context,
-    Monomial,
-    MonomialIdeal,
-    TSpreadError,
-    is_t_spread,
-    sieve_t_spread,
-    validate_monomial,
-)
+from .core import Context, Monomial, MonomialIdeal, TSpreadError
 
 FORCE_LIMIT = 10**6
 
@@ -48,151 +43,43 @@ def format_monomial(m: Monomial) -> str:
     return ",".join(str(i) for i in m) if m else "1"
 
 
-def parse_int_vector(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
-
-
 def brace_vector(values: Sequence[int]) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
 
 
-class _Run:
-    """Collects the result of one invocation for either output format."""
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.payload: object = None
-        self.oracle_agrees: bool | None = None
-
-    def emit(self, fmt: str) -> int:
-        if fmt == "json":
-            doc: dict = {"result": self.payload}
-            if self.oracle_agrees is not None:
-                doc["oracle_agrees"] = self.oracle_agrees
-            print(json.dumps(doc))
-        else:
-            for line in self.lines:
-                print(line)
-            if self.oracle_agrees is not None:
-                print("oracle: agree" if self.oracle_agrees else "oracle: MISMATCH")
-        if self.oracle_agrees is False:
-            print("oracle cross-check failed", file=sys.stderr)
-            return 1
-        return 0
+# Boundary converters.  Each turns one parsed argument into the value its
+# kernel takes, or ends the run through ``fail`` (the parser's ``error``,
+# exit status 2).  Kernels never see unconverted input.
+Fail = Callable[[str], NoReturn]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, help="number of variables (>= 1)")
-    common.add_argument("--t", type=int, help="spread parameter (>= 1)")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--oracle", action="store_true", help="cross-check against the brute-force oracle"
-    )
-    common.add_argument(
-        "--force", action="store_true", help="allow constructions beyond 10^6 monomials"
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="tspread",
-        description="construction and counting for t-spread monomials and ideals",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], help=help_)
-
-    p = add("check", "whether the given monomials are all t-spread")
-    p.add_argument("monomials", nargs="+")
-    p = add("sieve", "keep only the t-spread monomials of the list")
-    p.add_argument("monomials", nargs="+")
-    p = add("shadow", "t-shadow of the given monomials")
-    p.add_argument("monomials", nargs="+")
-    p = add("next-lex", "slex successor of a monomial, or 'none'")
-    p.add_argument("monomial")
-    p = add("lex-seg", "lex segment between two monomials")
-    p.add_argument("start")
-    p.add_argument("end")
-    p = add("lex-mon", "smallest lex set containing a monomial")
-    p.add_argument("monomial")
-    p = add("count-lex", "size of the smallest lex set, without construction")
-    p.add_argument("monomial")
-    p = add("ss-seg", "strongly stable segment between two monomials")
-    p.add_argument("start")
-    p.add_argument("end")
-    p = add("ss-mon", "smallest strongly stable set containing a monomial")
-    p.add_argument("monomial")
-    p = add("count-ss", "size of the smallest strongly stable set")
-    p.add_argument("monomial")
-    p = add("cq", "evaluate the nested sum operator on nonincreasing integers")
-    p.add_argument("args", type=int, nargs="+")
-    p = add("ss-ideal", "smallest strongly stable ideal containing the input ideal")
-    p.add_argument("ideal", nargs="?", default="-")
-    p = add("veronese", "all t-spread monomials of one degree")
-    p.add_argument("degree", type=int)
-    p = add("betti", "Betti table of a strongly stable ideal")
-    p.add_argument("ideal", nargs="?", default="-")
-    p = add("corners", "extremal corner positions and values")
-    p.add_argument("ideal", nargs="?", default="-")
-    p = add("realize-betti", "smallest ideal with prescribed corners, given as k,l=value")
-    p.add_argument("corners", nargs="+", metavar="K,L=A")
-    p = add("ft-vector", "quotient counts of a t-spread ideal per degree")
-    p.add_argument("ideal", nargs="?", default="-")
-    p = add("macaulay", "greedy binomial expansion of a value at a degree")
-    p.add_argument("value", type=int)
-    p.add_argument("degree", type=int)
-    p.add_argument("--shift", action="store_true", help="apply the growth-bound shift")
-    p.add_argument("--solve", action="store_true", help="print the summed value instead")
-    p = add("is-ft", "whether a sequence is an admissible quotient count vector")
-    p.add_argument("vector")
-    p = add("lex-ideal", "lex ideal from a quotient vector (--f) or sharing an ideal's")
-    p.add_argument("--f", dest="vector", help="quotient counts, e.g. 1,8,21,10,0")
-    p.add_argument("ideal", nargs="?", default="-")
-    p = add("is-lex-ideal", "whether every degree slice is an initial lex segment")
-    p.add_argument("ideal", nargs="?", default="-")
-    return parser
-
-
-def _require_ctx(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Context:
-    if args.n is None or args.t is None:
-        parser.error(f"{args.command} requires --n and --t")
+def _monomial(text: str, ctx: Context, fail: Fail) -> Monomial:
     try:
-        return Context(args.n, args.t)
-    except TSpreadError as exc:
-        parser.error(str(exc))
-    raise AssertionError  # parser.error never returns
-
-
-def _parse_monomial_arg(text: str, ctx: Context, parser: argparse.ArgumentParser) -> Monomial:
-    try:
-        return validate_monomial(parse_monomial(text), ctx)
+        return core.validate_monomial(parse_monomial(text), ctx)
     except (ValueError, TSpreadError) as exc:
-        parser.error(f"bad monomial {text!r}: {exc}")
-    raise AssertionError
+        fail(f"bad monomial {text!r}: {exc}")
 
 
-def _read_ideal(
-    source: str, ctx: Context, parser: argparse.ArgumentParser
-) -> MonomialIdeal:
+def _vector(text: str, ctx: Context, fail: Fail) -> list[int]:
+    try:
+        return [int(p) for p in text.split(",") if p.strip()]
+    except ValueError as exc:
+        fail(f"bad vector {text!r}: {exc}")
+
+
+def _ideal(source: str, ctx: Context, fail: Fail) -> MonomialIdeal:
     try:
         text = sys.stdin.read() if source == "-" else Path(source).read_text()
-    except OSError as exc:
-        parser.error(f"cannot read ideal from {source!r}: {exc}")
-        raise AssertionError
-    gens = []
-    for line in text.splitlines():
-        if line.strip():
-            gens.append(_parse_monomial_arg(line, ctx, parser))
+    except (OSError, UnicodeDecodeError) as exc:
+        fail(f"cannot read ideal from {source!r}: {exc}")
+    gens = [_monomial(line, ctx, fail) for line in text.splitlines() if line.strip()]
     try:
         return MonomialIdeal(ctx, tuple(gens))
     except TSpreadError as exc:
-        parser.error(f"bad ideal input: {exc}")
-    raise AssertionError
+        fail(f"bad ideal input: {exc}")
 
 
-def _parse_corner_specs(
-    specs: Sequence[str], parser: argparse.ArgumentParser
-) -> CornerConfig:
+def _corners(specs: Sequence[str], ctx: Context, fail: Fail) -> CornerConfig:
     corners = []
     values = []
     for spec in specs:
@@ -202,188 +89,251 @@ def _parse_corner_specs(
             corners.append((k, l))
             values.append(int(val))
         except ValueError:
-            parser.error(f"bad corner spec {spec!r}, expected k,l=value")
+            fail(f"bad corner spec {spec!r}, expected k,l=value")
     try:
         return CornerConfig(tuple(corners), tuple(values))
     except TSpreadError as exc:
-        parser.error(f"bad corner configuration: {exc}")
-    raise AssertionError
+        fail(f"bad corner configuration: {exc}")
 
 
-def _guard_size(predicted: int, force: bool) -> None:
-    if predicted > FORCE_LIMIT and not force:
-        raise TSpreadError(
-            f"output would hold {predicted} monomials; pass --force to build it"
-        )
+class Arg(NamedTuple):
+    """A positional or flag: its argparse declaration and its converter."""
+
+    name: str
+    convert: Callable[..., object] | None  # None: argparse's value is final
+    options: dict
+    unless: str | None = None  # left unconverted (None) when this option is given
 
 
-def _monomial_list(run: _Run, monomials: Sequence[Monomial]) -> None:
-    run.payload = [list(m) for m in monomials]
-    run.lines = [format_monomial(m) for m in monomials]
+MONOMIAL = Arg("monomial", _monomial, {})
+MONOMIALS = Arg(
+    "monomials", lambda texts, ctx, fail: [_monomial(s, ctx, fail) for s in texts], {"nargs": "+"}
+)
+START = MONOMIAL._replace(name="start")
+END = MONOMIAL._replace(name="end")
+IDEAL = Arg("ideal", _ideal, {"nargs": "?", "default": "-"})
+INT = Arg("value", None, {"type": int})
 
 
-def _bool_result(run: _Run, value: bool) -> None:
-    run.payload = bool(value)
-    run.lines = ["true" if value else "false"]
+def _flag(name: str, help_: str) -> Arg:
+    return Arg(name, None, {"action": "store_true", "help": help_})
 
 
-def _ideal_gens(run: _Run, ideal: MonomialIdeal) -> None:
-    run.payload = [list(g) for g in ideal.gens]
-    run.lines = [format_monomial(g) for g in ideal.gens]
+# Renderers: the JSON payload and the text lines of one result.
+Rendered = tuple[object, Iterable[str]]
 
 
-def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> _Run:
-    run = _Run()
-    cmd = args.command
+def _monomial_list(monomials: Sequence[Monomial]) -> Rendered:
+    return [list(m) for m in monomials], [format_monomial(m) for m in monomials]
 
-    if cmd == "cq":
-        run.payload = count.cq_operator(args.args)
-        run.lines = [str(run.payload)]
-        return run
 
-    ctx = _require_ctx(args, parser)
+def _scalar(value: int) -> Rendered:
+    return value, [str(value)]
 
-    if cmd == "check":
-        ms = [_parse_monomial_arg(s, ctx, parser) for s in args.monomials]
-        _bool_result(run, all(is_t_spread(m, ctx) for m in ms))
-    elif cmd == "sieve":
-        ms = [_parse_monomial_arg(s, ctx, parser) for s in args.monomials]
-        _monomial_list(run, sieve_t_spread(ms, ctx))
-    elif cmd == "shadow":
-        ms = [_parse_monomial_arg(s, ctx, parser) for s in args.monomials]
-        result = construct.t_shadow_set(ms, ctx)
-        _monomial_list(run, result)
-        if args.oracle:
-            run.oracle_agrees = set(result) == oracle.oracle_shadow(ms, ctx)
-    elif cmd == "next-lex":
-        u = _parse_monomial_arg(args.monomial, ctx, parser)
-        succ = construct.t_next_lex(u, ctx)
-        run.payload = None if succ is None else list(succ)
-        run.lines = ["none" if succ is None else format_monomial(succ)]
-        if args.oracle:
-            run.oracle_agrees = succ == oracle.oracle_next_lex(u, ctx)
-    elif cmd == "lex-seg":
-        v = _parse_monomial_arg(args.start, ctx, parser)
-        u = _parse_monomial_arg(args.end, ctx, parser)
-        _guard_size(
-            count.count_t_lex_mon(u, ctx) - count.count_t_lex_mon(v, ctx) + 1,
-            args.force,
-        )
-        result = construct.t_lex_seg(v, u, ctx)
-        _monomial_list(run, result)
-        if args.oracle:
-            expected = {w for w in oracle.oracle_lex_set(u, ctx) if w >= v}
-            run.oracle_agrees = set(result) == expected
-    elif cmd == "lex-mon":
-        u = _parse_monomial_arg(args.monomial, ctx, parser)
-        _guard_size(count.count_t_lex_mon(u, ctx), args.force)
-        result = construct.t_lex_mon(u, ctx)
-        _monomial_list(run, result)
-        if args.oracle:
-            run.oracle_agrees = set(result) == oracle.oracle_lex_set(u, ctx)
-    elif cmd == "count-lex":
-        u = _parse_monomial_arg(args.monomial, ctx, parser)
-        run.payload = count.count_t_lex_mon(u, ctx)
-        run.lines = [str(run.payload)]
-        if args.oracle:
-            run.oracle_agrees = run.payload == len(oracle.oracle_lex_set(u, ctx))
-    elif cmd == "ss-seg":
-        v = _parse_monomial_arg(args.start, ctx, parser)
-        u = _parse_monomial_arg(args.end, ctx, parser)
-        _guard_size(count.count_t_ss_mon(u, ctx), args.force)
-        result = construct.t_ss_seg(v, u, ctx)
-        _monomial_list(run, result)
-        if args.oracle:
-            expected = {w for w in oracle.oracle_borel_set(u, ctx) if w >= v}
-            run.oracle_agrees = set(result) == expected
-    elif cmd == "ss-mon":
-        u = _parse_monomial_arg(args.monomial, ctx, parser)
-        _guard_size(count.count_t_ss_mon(u, ctx), args.force)
-        result = construct.t_ss_mon(u, ctx)
-        _monomial_list(run, result)
-        if args.oracle:
-            run.oracle_agrees = set(result) == oracle.oracle_borel_set(u, ctx)
-    elif cmd == "count-ss":
-        u = _parse_monomial_arg(args.monomial, ctx, parser)
-        run.payload = count.count_t_ss_mon(u, ctx)
-        run.lines = [str(run.payload)]
-        if args.oracle:
-            run.oracle_agrees = run.payload == len(oracle.oracle_borel_set(u, ctx))
-    elif cmd == "ss-ideal":
-        ideal = _read_ideal(args.ideal, ctx, parser)
-        _ideal_gens(run, construct.t_ss_ideal(ideal))
-    elif cmd == "veronese":
-        _guard_size(count.card_veronese(args.degree, ctx), args.force)
-        result = construct.t_veronese(args.degree, ctx)
-        _monomial_list(run, result)
-        if args.oracle:
-            run.oracle_agrees = result == oracle.enumerate_veronese(args.degree, ctx)
-    elif cmd == "betti":
-        table = graded_betti(_read_ideal(args.ideal, ctx, parser))
-        run.payload = table.to_json_dict()
-        run.lines = table.to_grid().splitlines()
-    elif cmd == "corners":
-        config = extremal_corners(_read_ideal(args.ideal, ctx, parser))
-        run.payload = {
-            "corners": [list(c) for c in config.corners],
-            "values": list(config.values),
-        }
-        run.lines = [
-            "{" + ", ".join(f"({k},{l})" for k, l in config.corners) + "}",
-            brace_vector(config.values),
-        ]
-    elif cmd == "realize-betti":
-        config = _parse_corner_specs(args.corners, parser)
-        basics, ideal = realize_extremal_betti(config, ctx)
-        run.payload = {
-            "basic": [list(m) for m in basics],
-            "generators": [list(g) for g in ideal.gens],
-        }
-        run.lines = (
-            ["basic monomials:"]
-            + [format_monomial(m) for m in basics]
-            + ["minimal generators:"]
-            + [format_monomial(g) for g in ideal.gens]
-        )
-    elif cmd == "ft-vector":
-        vec = kk.ft_vector(_read_ideal(args.ideal, ctx, parser))
-        run.payload = vec
-        run.lines = [brace_vector(vec)]
-    elif cmd == "macaulay":
-        terms = kk.t_macaulay_expansion(args.value, args.degree, ctx, shift=args.shift)
-        if args.solve:
-            run.payload = kk.solve_binomial_expansion(terms)
-            run.lines = [str(run.payload)]
-        else:
-            run.payload = [list(t) for t in terms]
-            run.lines = ["{" + ", ".join("{%d,%d}" % t for t in terms) + "}"]
-    elif cmd == "is-ft":
-        _bool_result(run, kk.is_ft_vector(parse_int_vector(args.vector), ctx))
-    elif cmd == "lex-ideal":
-        if args.vector is not None:
-            ideal = kk.t_lex_ideal_from_f(parse_int_vector(args.vector), ctx)
-        else:
-            ideal = kk.t_lex_ideal_of(_read_ideal(args.ideal, ctx, parser))
-        _ideal_gens(run, ideal)
-    elif cmd == "is-lex-ideal":
-        _bool_result(run, construct.is_t_lex_ideal(_read_ideal(args.ideal, ctx, parser)))
-    else:  # pragma: no cover
-        parser.error(f"unknown command {cmd!r}")
 
-    if args.oracle and run.oracle_agrees is None and cmd not in ("check", "sieve"):
-        print(f"oracle cross-check is not available for {cmd}", file=sys.stderr)
-    return run
+def _bool(value: bool) -> Rendered:
+    return bool(value), ["true" if value else "false"]
+
+
+def _corner_config(config: CornerConfig) -> Rendered:
+    payload = {"corners": [list(c) for c in config.corners], "values": list(config.values)}
+    positions = "{" + ", ".join(f"({k},{l})" for k, l in config.corners) + "}"
+    return payload, [positions, brace_vector(config.values)]
+
+
+def _realized(result: tuple[Sequence[Monomial], MonomialIdeal]) -> Rendered:
+    basics, ideal = result
+    (basic, basic_lines), (gens, gen_lines) = _monomial_list(basics), _monomial_list(ideal.gens)
+    payload = {"basic": basic, "generators": gens}
+    return payload, ["basic monomials:", *basic_lines, "minimal generators:", *gen_lines]
+
+
+def _macaulay(a: int, d: int, shift: bool, solve: bool, ctx: Context) -> object:
+    terms = kk.t_macaulay_expansion(a, d, ctx, shift=shift)
+    return kk.solve_binomial_expansion(terms) if solve else terms
+
+
+def _expansion(result: int | list[tuple[int, int]]) -> Rendered:
+    if isinstance(result, int):  # --solve
+        return _scalar(result)
+    return [list(t) for t in result], ["{" + ", ".join("{%d,%d}" % t for t in result) + "}"]
+
+
+def _silent(*_: object) -> None:
+    """Oracle check of a command that is its own reference: no verdict."""
+
+
+class Command(NamedTuple):
+    """One subcommand, called with the converted argument ``values``."""
+
+    help: str
+    args: tuple[Arg, ...]
+    kernel: Callable[..., object]  # (*values, ctx) -> result
+    render: Callable[[object], Rendered]  # result -> (payload, lines)
+    size: Callable[..., int] | None = None  # (*values, ctx) -> monomials to build
+    # (result, *values, ctx) -> agreement, or None for no verdict; a command
+    # without one reports the cross-check as not available
+    oracle: Callable[..., bool | None] | None = None
+    ring: bool = True  # whether --n and --t are required
+
+
+COMMANDS: dict[str, Command] = {
+    "check": Command(
+        "whether the given monomials are all t-spread", (MONOMIALS,),
+        lambda ms, ctx: all(core.is_t_spread(m, ctx) for m in ms), _bool, oracle=_silent),
+    "sieve": Command(
+        "keep only the t-spread monomials of the list", (MONOMIALS,),
+        core.sieve_t_spread, _monomial_list, oracle=_silent),
+    "shadow": Command(
+        "t-shadow of the given monomials", (MONOMIALS,), construct.t_shadow_set, _monomial_list,
+        oracle=lambda r, ms, ctx: set(r) == oracle.oracle_shadow(ms, ctx)),
+    "next-lex": Command(
+        "slex successor of a monomial, or 'none'", (MONOMIAL,), construct.t_next_lex,
+        lambda s: (None, ["none"]) if s is None else (list(s), [format_monomial(s)]),
+        oracle=lambda r, u, ctx: r == oracle.oracle_next_lex(u, ctx)),
+    "lex-seg": Command(
+        "lex segment between two monomials", (START, END), construct.t_lex_seg, _monomial_list,
+        size=lambda v, u, ctx: count.count_t_lex_mon(u, ctx) - count.count_t_lex_mon(v, ctx) + 1,
+        oracle=lambda r, v, u, ctx:
+            set(r) == {w for w in oracle.oracle_lex_set(u, ctx) if w >= v}),
+    "lex-mon": Command(
+        "smallest lex set containing a monomial", (MONOMIAL,), construct.t_lex_mon, _monomial_list,
+        size=count.count_t_lex_mon,
+        oracle=lambda r, u, ctx: set(r) == oracle.oracle_lex_set(u, ctx)),
+    "count-lex": Command(
+        "size of the smallest lex set, without construction", (MONOMIAL,),
+        count.count_t_lex_mon, _scalar,
+        oracle=lambda r, u, ctx: r == len(oracle.oracle_lex_set(u, ctx))),
+    "ss-seg": Command(
+        "strongly stable segment between two monomials", (START, END),
+        construct.t_ss_seg, _monomial_list, size=lambda v, u, ctx: count.count_t_ss_mon(u, ctx),
+        oracle=lambda r, v, u, ctx:
+            set(r) == {w for w in oracle.oracle_borel_set(u, ctx) if w >= v}),
+    "ss-mon": Command(
+        "smallest strongly stable set containing a monomial", (MONOMIAL,),
+        construct.t_ss_mon, _monomial_list, size=count.count_t_ss_mon,
+        oracle=lambda r, u, ctx: set(r) == oracle.oracle_borel_set(u, ctx)),
+    "count-ss": Command(
+        "size of the smallest strongly stable set", (MONOMIAL,), count.count_t_ss_mon, _scalar,
+        oracle=lambda r, u, ctx: r == len(oracle.oracle_borel_set(u, ctx))),
+    "cq": Command(
+        "evaluate the nested sum operator on nonincreasing integers",
+        (Arg("args", None, {"type": int, "nargs": "+"}),),
+        lambda a, ctx: count.cq_operator(a), _scalar, oracle=_silent, ring=False),
+    "ss-ideal": Command(
+        "smallest strongly stable ideal containing the input ideal", (IDEAL,),
+        lambda ideal, ctx: construct.t_ss_ideal(ideal).gens, _monomial_list),
+    "veronese": Command(
+        "all t-spread monomials of one degree", (INT._replace(name="degree"),),
+        construct.t_veronese, _monomial_list, size=count.card_veronese,
+        oracle=lambda r, d, ctx: r == oracle.enumerate_veronese(d, ctx)),
+    "betti": Command(
+        "Betti table of a strongly stable ideal", (IDEAL,), lambda ideal, ctx: graded_betti(ideal),
+        lambda table: (table.to_json_dict(), table.to_grid().splitlines())),
+    "corners": Command(
+        "extremal corner positions and values", (IDEAL,),
+        lambda ideal, ctx: extremal_corners(ideal), _corner_config),
+    "realize-betti": Command(
+        "smallest ideal with prescribed corners, given as k,l=value",
+        (Arg("corners", _corners, {"nargs": "+", "metavar": "K,L=A"}),),
+        realize_extremal_betti, _realized),
+    "ft-vector": Command(
+        "quotient counts of a t-spread ideal per degree", (IDEAL,),
+        lambda ideal, ctx: kk.ft_vector(ideal), lambda vec: (vec, [brace_vector(vec)])),
+    "macaulay": Command(
+        "greedy binomial expansion of a value at a degree",
+        (INT, INT._replace(name="degree"), _flag("--shift", "apply the growth-bound shift"),
+         _flag("--solve", "print the summed value instead")),
+        _macaulay, _expansion),
+    "is-ft": Command(
+        "whether a sequence is an admissible quotient count vector",
+        (Arg("vector", _vector, {}),), kk.is_ft_vector, _bool),
+    "lex-ideal": Command(
+        "lex ideal from a quotient vector (--f) or sharing an ideal's",
+        (Arg("--f", _vector, {"metavar": "VECTOR", "help": "quotient counts, e.g. 1,8,21,10,0"}),
+         IDEAL._replace(unless="f")),
+        lambda f, ideal, ctx: (
+            kk.t_lex_ideal_of(ideal) if f is None else kk.t_lex_ideal_from_f(f, ctx)).gens,
+        _monomial_list),
+    "is-lex-ideal": Command(
+        "whether every degree slice is an initial lex segment", (IDEAL,),
+        lambda ideal, ctx: construct.is_t_lex_ideal(ideal), _bool),
+}
+
+
+# Options every subcommand takes, ahead of its own arguments.
+COMMON = (
+    Arg("--n", None, {"type": int, "help": "number of variables (>= 1)"}),
+    Arg("--t", None, {"type": int, "help": "spread parameter (>= 1)"}),
+    Arg("--format", None, {"choices": ("text", "json"), "default": "text"}),
+    _flag("--oracle", "cross-check against the brute-force oracle"),
+    _flag("--force", "allow constructions beyond 10^6 monomials"),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tspread",
+        description="construction and counting for t-spread monomials and ideals",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, row in COMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
+        for arg in COMMON + row.args:
+            p.add_argument(arg.name, **arg.options)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    row = COMMANDS[args.command]
+    if row.ring and (args.n is None or args.t is None):
+        parser.error(f"{args.command} requires --n and --t")
     try:
-        run = _dispatch(args, parser)
+        ctx = Context(args.n, args.t) if row.ring else None
+    except TSpreadError as exc:
+        parser.error(str(exc))
+    values = []
+    for arg in row.args:
+        raw = getattr(args, arg.name.lstrip("-"))
+        if arg.unless is not None and getattr(args, arg.unless) is not None:
+            raw = None
+        elif arg.convert is not None and raw is not None:
+            raw = arg.convert(raw, ctx, parser.error)
+        values.append(raw)
+    agrees = None
+    try:
+        if row.size is not None and not args.force:
+            predicted = row.size(*values, ctx)
+            if predicted > FORCE_LIMIT:
+                raise TSpreadError(
+                    f"output would hold {predicted} monomials; pass --force to build it"
+                )
+        result = row.kernel(*values, ctx)
+        payload, lines = row.render(result)
+        if args.oracle and row.oracle is None:
+            print(f"oracle cross-check is not available for {args.command}", file=sys.stderr)
+        elif args.oracle:
+            agrees = row.oracle(result, *values, ctx)
     except TSpreadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run.emit(args.format)
+
+    if args.format == "json":
+        doc: dict = {"result": payload}
+        if agrees is not None:
+            doc["oracle_agrees"] = agrees
+        print(json.dumps(doc))
+    else:
+        for line in lines:
+            print(line)
+        if agrees is not None:
+            print("oracle: agree" if agrees else "oracle: MISMATCH")
+    if agrees is False:
+        print("oracle cross-check failed", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -59,9 +59,17 @@ def t_macaulay_expansion(
     rem = a
     i = d
     while rem > 0:
-        top = i
-        while comb(top + 1, i) <= rem:
-            top += 1
+        # the greedy top is the largest with C(top, i) <= rem, i.e. the
+        # first with C(top + 1, i) > rem; C(., i) increases from C(i, i) = 1,
+        # so gallop up in doubling steps, then bisect the last step
+        top, step = i, 1
+        while comb(top + step, i) <= rem:
+            top += step
+            step *= 2
+        while step > 1:
+            step //= 2
+            if comb(top + step, i) <= rem:
+                top += step
         terms.append((top, i))
         rem -= comb(top, i)
         i -= 1

@@ -1,9 +1,14 @@
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import KK_FT, KK_IDEAL_GENS, KK_LEX_GENS, REALIZE_GENERATORS
-from tspread.cli import main, parse_monomial
+from tspread.cli import COMMANDS, main, parse_monomial
 
 
 def run(capsys, *argv):
@@ -242,3 +247,144 @@ class TestErrors:
     def test_large_output_needs_force(self, capsys):
         code, _, err = run(capsys, "veronese", "--n", "40", "--t", "1", "20")
         assert code == 1 and "--force" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["is-ft", "--n", "5", "--t", "1", "a,b"],
+            ["lex-ideal", "--n", "5", "--t", "1", "--f", "x"],
+        ],
+    )
+    def test_bad_vector_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"bad vector {argv[-1]!r}" in capsys.readouterr().err
+
+    def test_undecodable_ideal_file_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "ideal.txt"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["betti", "--n", "25", "--t", "3", str(path)])
+        assert excinfo.value.code == 2
+        assert f"cannot read ideal from {str(path)!r}" in capsys.readouterr().err
+
+
+# Transcripts of the pre-table CLI for outputs no other test pins: exit code,
+# stdout and stderr, byte for byte.  "{kk}" and "{real}" name files holding
+# the conftest ideals.
+TRANSCRIPTS = [
+    (["lex-seg", "--n", "7", "--t", "2", "1,3,5", "1,4,6", "--oracle"],
+     0, "1,3,5\n1,3,6\n1,3,7\n1,4,6\noracle: agree\n", ""),
+    (["ss-seg", "--n", "9", "--t", "2", "1,5,7", "2,5,8", "--oracle"],
+     0, "1,5,7\n1,5,8\n2,4,6\n2,4,7\n2,4,8\n2,5,7\n2,5,8\noracle: agree\n", ""),
+    (["veronese", "--n", "5", "--t", "2", "2", "--oracle"],
+     0, "1,3\n1,4\n1,5\n2,4\n2,5\n3,5\noracle: agree\n", ""),
+    (["next-lex", "--n", "13", "--t", "3", "2,6,10,13", "--oracle"],
+     0, "2,7,10,13\noracle: agree\n", ""),
+    (["count-lex", "--n", "11", "--t", "3", "2,6,10", "--oracle"], 0, "21\noracle: agree\n", ""),
+    (["ft-vector", "--n", "8", "--t", "2", "{kk}", "--oracle"],
+     0, "{1, 8, 21, 10, 0}\n", "oracle cross-check is not available for ft-vector\n"),
+    (["check", "--n", "14", "--t", "3", "3,7,10,14", "--oracle"], 0, "true\n", ""),
+    (["sieve", "--n", "14", "--t", "4", "3,7,10,14", "1,5,9,13", "--oracle"], 0, "1,5,9,13\n", ""),
+    (["cq", "6", "4", "2", "--oracle"], 0, "30\n", ""),
+    (["corners", "--n", "25", "--t", "3", "{real}", "--format", "json"],
+     0, '{"result": {"corners": [[6, 2], [5, 4], [4, 5], [3, 7]], "values": [2, 1, 3, 2]}}\n', ""),
+    (["realize-betti", "--n", "7", "--t", "2", "1,2=1", "--format", "json"],
+     0, '{"result": {"basic": [[1, 4]], "generators": [[1, 3], [1, 4]]}}\n', ""),
+    (["macaulay", "--n", "12", "--t", "1", "50", "2", "--format", "json"],
+     0, '{"result": [[10, 2], [5, 1]]}\n', ""),
+    (["ss-mon", "--n", "7", "--t", "2", "2,4,7", "--format", "json"],
+     0, '{"result": [[1, 3, 5], [1, 3, 6], [1, 3, 7], [1, 4, 6], [1, 4, 7], [2, 4, 6], '
+     '[2, 4, 7]]}\n', ""),
+    (["ss-seg", "--n", "11", "--t", "2", "1,5,7", "2,4,8"],
+     1, "", "error: segment start must dominate its end in the Borel order\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", TRANSCRIPTS, ids=[t[0][0] for t in TRANSCRIPTS])
+def test_transcript(capsys, tmp_path, argv, code, out, err):
+    files = {
+        "kk": write_ideal(tmp_path / "kk.txt", KK_IDEAL_GENS),
+        "real": write_ideal(tmp_path / "real.txt", REALIZE_GENERATORS),
+    }
+    assert run(capsys, *(a.format(**files) for a in argv)) == (code, out, err)
+
+
+# Fuzzing the exit-code contract: whatever the input, ``main`` returns 0 or 1
+# or exits with status 2, and raises nothing else.  Each argument slot of a
+# command draws from the malformed and valid values of its kind; ideals come
+# from stdin (empty or undecodable) or from files.
+MONOMIAL_TEXTS = ["5,2", "x", "", str(10**30), "1," + str(10**30), "0,3", "x_2*y", "1", "1,3",
+                  "2,5,8", "1,4,7,10", "x_2*x_6"]
+SLOT_VALUES = {
+    "monomial": MONOMIAL_TEXTS,
+    "vector": ["a,b", "1,x", "1.5", "", "1,,3", "1,12,50,20,15", "1,8,21,10,0", "1,3"],
+    "corners": ["6,2", "6,2=x", "k,l=1", "2=1", "1,2,3=4", "1,2=0", "1,2=1", "3,2=1"],
+    "int": ["x", "", "2.5", "-2", "0", "1", "3"],
+}
+SLOT_KIND = {"monomials": "monomial", "start": "monomial", "end": "monomial", "--f": "vector"}
+
+
+@pytest.fixture(scope="module")
+def ideal_sources(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ideals")
+    (root / "undecodable.txt").write_bytes(b"\xff\xfe")
+    (root / "malformed.txt").write_text("1,3\n5,2\n")
+    return [
+        "-",
+        str(root / "undecodable.txt"),
+        str(root / "malformed.txt"),
+        str(root / "missing.txt"),
+        write_ideal(root / "kk.txt", KK_IDEAL_GENS),
+    ]
+
+
+@st.composite
+def invocations(draw, name, ideal_sources):
+    argv = [name]
+    if draw(st.integers(0, 9)):  # now and then leave the ring out
+        argv += ["--n", str(draw(st.integers(1, 12))), "--t", str(draw(st.integers(1, 4)))]
+    for flag in ("--oracle", "--force"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    for arg in COMMANDS[name].args:
+        kind = SLOT_KIND.get(arg.name, arg.name)
+        values = ideal_sources if kind == "ideal" else SLOT_VALUES.get(kind, SLOT_VALUES["int"])
+        if arg.options.get("action") == "store_true":
+            if draw(st.booleans()):
+                argv.append(arg.name)
+            continue
+        nargs = arg.options.get("nargs")
+        count = draw(st.integers(1, 3) if nargs == "+" else st.integers(0, 1))
+        if nargs is None and not arg.name.startswith("--") and draw(st.integers(0, 9)):
+            count = 1  # a required positional is mostly present
+        for value in draw(st.lists(st.sampled_from(values), min_size=count, max_size=count)):
+            argv += [arg.name, value] if arg.name.startswith("--") else [value]
+    stdin = draw(st.sampled_from(["", "1,3\n2,5\n", b"\xff\xfe"]))
+    return argv, stdin
+
+
+def assert_exit_contract(argv, stdin):
+    """``main`` returns 0 or 1, or exits with status 2; nothing else escapes."""
+    if isinstance(stdin, bytes):
+        stream = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    else:
+        stream = io.StringIO(stdin)
+    saved, sys.stdin = sys.stdin, stream
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1), argv
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+    finally:
+        sys.stdin = saved
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract(ideal_sources, name, data):
+    assert_exit_contract(*data.draw(invocations(name, ideal_sources)))

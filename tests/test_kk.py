@@ -1,3 +1,6 @@
+import time
+from math import comb
+
 import pytest
 
 from conftest import KK_CTX, KK_FT, KK_LEX_GENS, kk_ideal
@@ -61,6 +64,26 @@ class TestMacaulayExpansion:
             for a in range(card_veronese(d, ctx) + 1):
                 terms = t_macaulay_expansion(a, d, ctx)
                 assert solve_binomial_expansion(terms) == a
+
+    def test_greedy_terms_on_grid(self):
+        ctx = Context(30, 1)
+        for d in range(1, 7):
+            full = card_veronese(d, ctx)
+            for a in set(range(min(full, 400) + 1)) | set(range(max(full - 50, 0), full + 1)):
+                terms = t_macaulay_expansion(a, d, ctx)
+                assert sum(comb(top, i) for top, i in terms) == a
+                assert all(x[0] > y[0] for x, y in zip(terms, terms[1:]))
+                assert [i for _, i in terms] == list(range(d, d - len(terms), -1))
+                rem = a
+                for top, i in terms:
+                    assert top >= i and comb(top, i) <= rem < comb(top + 1, i)
+                    rem -= comb(top, i)
+
+    def test_large_value_is_fast(self):
+        start = time.perf_counter()
+        terms = t_macaulay_expansion(10**9, 1, Context(10**9 + 1, 1))
+        assert time.perf_counter() - start < 1.0
+        assert terms == [(10**9, 1)]
 
     def test_zero_has_empty_expansion(self):
         assert t_macaulay_expansion(0, 3, Context(12, 1)) == []
