@@ -83,18 +83,22 @@ def validate_monomial(u: Sequence[int], ctx: Context) -> Monomial:
     return m
 
 
+def _gaps_at_least(m: Monomial, t: int) -> bool:
+    return all(b - a >= t for a, b in zip(m, m[1:]))
+
+
 def is_t_spread(u: Sequence[int], ctx: Context) -> bool:
     """Whether consecutive support indices all differ by at least ``ctx.t``.
 
     Monomials of degree 0 and 1 are t-spread for every t.
     """
-    m = validate_monomial(u, ctx)
-    return all(b - a >= ctx.t for a, b in zip(m, m[1:]))
+    return _gaps_at_least(validate_monomial(u, ctx), ctx.t)
 
 
 def require_t_spread(u: Sequence[int], ctx: Context) -> Monomial:
+    """``u`` validated and canonicalized, or NotTSpreadError if not t-spread."""
     m = validate_monomial(u, ctx)
-    if not is_t_spread(m, ctx):
+    if not _gaps_at_least(m, ctx.t):
         raise NotTSpreadError("expected a t-spread monomial")
     return m
 
@@ -193,7 +197,7 @@ def exchange_moves(u: Monomial, ctx: Context) -> Iterator[Monomial]:
             if i in rest:
                 continue
             w = tuple(sorted(rest | {i}))
-            if all(b - a >= ctx.t for a, b in zip(w, w[1:])):
+            if _gaps_at_least(w, ctx.t):
                 yield w
 
 

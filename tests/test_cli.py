@@ -1,7 +1,9 @@
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,13 @@ class TestSubcommands:
     def test_cq(self, capsys):
         code, out, _ = run(capsys, "cq", "6", "4", "2")
         assert code == 0 and out.strip() == "30"
+
+    def test_cq_large_arguments(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "cq", "100000", "100000", "100000")
+        assert time.perf_counter() - start < 1.0
+        # equal arguments: multisets of three partial sums below 10^5
+        assert code == 0 and out.strip() == str(comb(100002, 3))
 
     def test_veronese(self, capsys):
         code, out, _ = run(capsys, "veronese", "--n", "11", "--t", "3", "3")
@@ -247,6 +256,12 @@ class TestErrors:
     def test_large_output_needs_force(self, capsys):
         code, _, err = run(capsys, "veronese", "--n", "40", "--t", "1", "20")
         assert code == 1 and "--force" in err
+
+    def test_strongly_stable_guard_is_immediate(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "ss-mon", "--n", "200", "--t", "2", "20,60,100,140,180,199")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and "output would hold 20535023166 monomials" in err
 
     @pytest.mark.parametrize(
         "argv",

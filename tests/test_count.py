@@ -1,6 +1,11 @@
+import time
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspread.core import Context, NotTSpreadError, TSpreadError, max_mon, min_mon
 from tspread.count import (
@@ -14,6 +19,9 @@ from tspread.count import (
     iter_lex_count_terms,
     iter_ss_count_terms,
 )
+from tspread.oracle import N_LIMIT, enumerate_veronese, oracle_borel_set, oracle_lex_set
+
+HYPOTHESIS = dict(derandomize=True, deadline=None)
 
 
 class TestCardVeronese:
@@ -161,3 +169,97 @@ class TestBinomialHelper:
 
     def test_matches_math_comb(self):
         assert binomial(10, 4) == comb(10, 4)
+
+
+# Equivalence of the closed forms with the term sums they replace and with
+# the brute-force oracle.
+
+GRID = [(n, t) for n in range(1, 11) for t in range(1, 4)]
+
+
+@st.composite
+def spread_monomials(draw, max_n, max_degree=6):
+    """A context with n <= max_n and a t-spread monomial of degree >= 1."""
+    t = draw(st.integers(1, 4))
+    ctx = Context(draw(st.integers(1, max_n)), t)
+    d = draw(st.integers(1, min(ctx.max_degree(), max_degree)))
+    u, lo = [], 1
+    for q in range(d):
+        u.append(draw(st.integers(lo, ctx.n - (d - 1 - q) * t)))
+        lo = u[-1] + t
+    return tuple(u), ctx
+
+
+class TestClosedFormsMatchTermSums:
+    def test_exhaustive_grid(self):
+        for n, t in GRID:
+            ctx = Context(n, t)
+            for d in range(1, ctx.max_degree() + 1):
+                for u in enumerate_veronese(d, ctx):
+                    assert (
+                        count_t_ss_mon(u, ctx)
+                        == sum(iter_ss_count_terms(u, ctx))
+                        == len(oracle_borel_set(u, ctx))
+                    )
+                    assert (
+                        count_t_lex_mon(u, ctx)
+                        == sum(iter_lex_count_terms(u, ctx))
+                        == len(oracle_lex_set(u, ctx))
+                    )
+
+    @given(spread_monomials(max_n=N_LIMIT))
+    @settings(max_examples=150, **HYPOTHESIS)
+    def test_oracle_range(self, data):
+        u, ctx = data
+        borel = oracle_borel_set(u, ctx)
+        assert count_t_ss_mon(u, ctx) == sum(iter_ss_count_terms(u, ctx)) == len(borel)
+        lex = oracle_lex_set(u, ctx)
+        assert count_t_lex_mon(u, ctx) == sum(iter_lex_count_terms(u, ctx)) == len(lex)
+
+    @given(spread_monomials(max_n=60, max_degree=4))
+    @settings(max_examples=100, **HYPOTHESIS)
+    def test_beyond_the_oracle(self, data):
+        u, ctx = data
+        assert count_t_ss_mon(u, ctx) == sum(iter_ss_count_terms(u, ctx))
+        assert count_t_lex_mon(u, ctx) == sum(iter_lex_count_terms(u, ctx))
+
+    def test_large_case_is_immediate(self):
+        # 3.4 * 10^8 terms in the sum the closed form replaces
+        start = time.perf_counter()
+        total = count_t_ss_mon((20, 60, 100, 140, 180, 199), Context(200, 2))
+        assert time.perf_counter() - start < 0.05
+        assert total == 20535023166
+
+
+@lru_cache(maxsize=None)
+def nested_sum(args):
+    """C_q straight from its definition."""
+    if len(args) == 1:
+        return args[0]
+    *head, last = args
+    return sum(nested_sum(tuple(a - r for a in head)) for r in range(last))
+
+
+@st.composite
+def nonincreasing(draw, max_q=5, max_value=30):
+    q = draw(st.integers(1, max_q))
+    return tuple(sorted(draw(st.lists(st.integers(1, max_value), min_size=q, max_size=q)),
+                        reverse=True))
+
+
+class TestCqMatchesDefinition:
+    def test_exhaustive_grid(self):
+        for q in range(1, 4):
+            for a in combinations_with_replacement(range(12, 0, -1), q):
+                assert cq_operator(a) == nested_sum(a)
+
+    @given(nonincreasing())
+    @settings(max_examples=200, **HYPOTHESIS)
+    def test_property(self, a):
+        assert cq_operator(a) == nested_sum(a)
+
+    def test_equal_arguments_count_multisets(self):
+        # C_q(a, ..., a) counts the multisets of q partial sums below a
+        for q in range(1, 6):
+            for a in range(1, 10):
+                assert cq_operator((a,) * q) == comb(a + q - 1, q)
