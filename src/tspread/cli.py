@@ -159,6 +159,21 @@ def _expansion(result: int | list[tuple[int, int]]) -> Rendered:
     return [list(t) for t in result], ["{" + ", ".join("{%d,%d}" % t for t in result) + "}"]
 
 
+def _slices_size(ideal: MonomialIdeal, ctx: Context) -> int:
+    """Monomials in the degree slices from the lowest generator degree up."""
+    core.require_t_spread_ideal(ideal)
+    low = min(ideal.degrees(), default=ctx.max_degree() + 1)
+    return sum(count.card_veronese(j, ctx) for j in range(low, ctx.max_degree() + 1))
+
+
+def _lex_ideal_size(f: list[int] | None, ideal: MonomialIdeal | None, ctx: Context) -> int:
+    if f is None:
+        return _slices_size(ideal, ctx)
+    # an admissible f builds one initial segment per degree and one past its end
+    segments = sum(count.card_veronese(j, ctx) - x for j, x in enumerate(f + [0]) if j)
+    return segments if kk.is_ft_vector(f, ctx) else 0
+
+
 def _silent(*_: object) -> None:
     """Oracle check of a command that is its own reference: no verdict."""
 
@@ -180,10 +195,11 @@ class Command(NamedTuple):
 COMMANDS: dict[str, Command] = {
     "check": Command(
         "whether the given monomials are all t-spread", (MONOMIALS,),
-        lambda ms, ctx: all(core.is_t_spread(m, ctx) for m in ms), _bool, oracle=_silent),
+        lambda ms, ctx: all(core._gaps_at_least(m, ctx.t) for m in ms), _bool, oracle=_silent),
     "sieve": Command(
         "keep only the t-spread monomials of the list", (MONOMIALS,),
-        core.sieve_t_spread, _monomial_list, oracle=_silent),
+        lambda ms, ctx: [m for m in ms if core._gaps_at_least(m, ctx.t)], _monomial_list,
+        oracle=_silent),
     "shadow": Command(
         "t-shadow of the given monomials", (MONOMIALS,), construct.t_shadow_set, _monomial_list,
         oracle=lambda r, ms, ctx: set(r) == oracle.oracle_shadow(ms, ctx)),
@@ -239,7 +255,8 @@ COMMANDS: dict[str, Command] = {
         realize_extremal_betti, _realized),
     "ft-vector": Command(
         "quotient counts of a t-spread ideal per degree", (IDEAL,),
-        lambda ideal, ctx: kk.ft_vector(ideal), lambda vec: (vec, [brace_vector(vec)])),
+        lambda ideal, ctx: kk.ft_vector(ideal), lambda vec: (vec, [brace_vector(vec)]),
+        size=_slices_size),
     "macaulay": Command(
         "greedy binomial expansion of a value at a degree",
         (INT, INT._replace(name="degree"), _flag("--shift", "apply the growth-bound shift"),
@@ -254,10 +271,10 @@ COMMANDS: dict[str, Command] = {
          IDEAL._replace(unless="f")),
         lambda f, ideal, ctx: (
             kk.t_lex_ideal_of(ideal) if f is None else kk.t_lex_ideal_from_f(f, ctx)).gens,
-        _monomial_list),
+        _monomial_list, size=_lex_ideal_size),
     "is-lex-ideal": Command(
         "whether every degree slice is an initial lex segment", (IDEAL,),
-        lambda ideal, ctx: construct.is_t_lex_ideal(ideal), _bool),
+        lambda ideal, ctx: construct.is_t_lex_ideal(ideal), _bool, size=_slices_size),
 }
 
 

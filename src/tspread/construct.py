@@ -7,6 +7,12 @@ basis of the ambient ring enumerated.
 
 All set-valued results come back strictly descending in the squarefree-lex
 order, which for index tuples is plain ascending sort order.
+
+Lex and Borel walks share one successor, which bumps the last index still
+below its cap and repacks the tail t apart.  Capped by ``u`` it walks the
+monomials Borel-above ``u``; every monomial of a degree is Borel-above its
+slex-least one, so capped by ``min_mon`` it walks the whole lex order.
+Public functions validate once; the walks and shadows never again.
 """
 from __future__ import annotations
 
@@ -18,11 +24,13 @@ from .core import (
     Monomial,
     MonomialIdeal,
     TSpreadError,
+    _gaps_at_least,
     borel_geq,
     cmp_slex,
     exchange_moves,
-    is_t_spread,
+    is_t_spread_ideal,
     max_mon,
+    min_mon,
     require_t_spread,
     require_t_spread_ideal,
     slex_max,
@@ -32,32 +40,51 @@ from .core import (
 from .count import count_t_lex_mon
 
 
+def _shadow(m: Monomial, ctx: Context) -> list[Monomial]:
+    t = ctx.t
+    ends = (1 - t,) + m + (ctx.n + t,)
+    return [
+        m[:r] + (h,) + m[r:]
+        for r in range(len(m) + 1)
+        for h in range(ends[r] + t, ends[r + 1] - t + 1)
+    ]
+
+
 def t_shadow(u: Sequence[int], ctx: Context) -> list[Monomial]:
     """Degree d+1 t-spread multiples of ``u`` by a single variable.
 
     The admissible new indices form the union of intervals
     [1, i_1-t], [i_1+t, i_2-t], ..., [i_d+t, n]; anything outside either
-    breaks the spread with a neighbour or repeats a variable.
+    breaks the spread with a neighbour or repeats a variable.  An index
+    from the interval before i_r lands at position r, so the multiples come
+    out in slex-descending order.
     """
-    m = require_t_spread(u, ctx)
-    n, t = ctx.n, ctx.t
-    cuts = [1]
-    for i in m:
-        cuts += [i - t, i + t]
-    cuts.append(n)
-    out: list[Monomial] = []
-    for r in range(0, len(cuts), 2):
-        for h in range(max(cuts[r], 1), cuts[r + 1] + 1):
-            out.append(tuple(sorted(m + (h,))))
-    return sorted(out)
+    return _shadow(require_t_spread(u, ctx), ctx)
 
 
 def t_shadow_set(monomials: Iterable[Sequence[int]], ctx: Context) -> list[Monomial]:
     """Deduplicated union of the shadows of the given monomials."""
-    out: set[Monomial] = set()
-    for u in monomials:
-        out.update(t_shadow(u, ctx))
-    return sorted(out)
+    return sorted({w for u in monomials for w in t_shadow(u, ctx)})
+
+
+def _step(w: Monomial, caps: Monomial, t: int) -> Monomial | None:
+    # slex successor of w among the monomials Borel-above caps, None at caps;
+    # the repacked tail stays under caps because caps is t-spread
+    q = len(w) - 1
+    while q >= 0 and w[q] >= caps[q]:
+        q -= 1
+    if q < 0:
+        return None
+    return w[:q] + tuple(range(w[q] + 1, w[q] + 1 + (len(w) - q) * t, t))
+
+
+def _walk(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> Iterator[Monomial]:
+    # bottom must be Borel-above caps and slex-below top, or it is never met
+    w = top
+    yield w
+    while w != bottom:
+        w = _step(w, caps, t)
+        yield w
 
 
 def t_next_lex(u: Sequence[int], ctx: Context) -> Monomial | None:
@@ -67,27 +94,16 @@ def t_next_lex(u: Sequence[int], ctx: Context) -> Monomial | None:
     a t-spread tail, bumps it, and packs the tail as tightly as possible.
     """
     m = require_t_spread(u, ctx)
-    d = len(m)
     n, t = ctx.n, ctx.t
-    for q in range(d, 0, -1):
-        if m[q - 1] + 1 <= n - (d - q) * t:
-            start = m[q - 1] + 1
-            return m[: q - 1] + tuple(start + j * t for j in range(d - q + 1))
-    return None
+    return _step(m, tuple(range(n - (len(m) - 1) * t, n + 1, t)), t)
 
 
 def iter_veronese(d: int, ctx: Context) -> Iterator[Monomial]:
     """All t-spread monomials of degree d, lazily, descending in slex."""
-    if d < 0:
-        raise TSpreadError("degree must be nonnegative")
     if d and 1 + (d - 1) * ctx.t > ctx.n:
         return
-    w: Monomial | None = max_mon(d, ctx)
-    while w is not None:
-        yield w
-        if not w:
-            return
-        w = t_next_lex(w, ctx)
+    low = min_mon(d, ctx)
+    yield from _walk(max_mon(d, ctx), low, low, ctx.t)
 
 
 def t_veronese(d: int, ctx: Context) -> list[Monomial]:
@@ -108,41 +124,36 @@ def t_lex_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial
     bottom = require_t_spread(u, ctx)
     if cmp_slex(top, bottom) < 0:
         raise TSpreadError("segment start lies below its end in the slex order")
-    out = [top]
-    w: Monomial | None = top
-    while w != bottom:
-        w = t_next_lex(w, ctx)
-        if w is None:  # unreachable: the chain visits every monomial
-            raise AssertionError("slex successor chain ended before the target")
-        out.append(w)
-    return out
+    return list(_walk(top, bottom, min_mon(len(top), ctx), ctx.t))
 
 
 def t_lex_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
     """The smallest lex set containing ``u``: everything slex-above it."""
     m = require_t_spread(u, ctx)
-    return t_lex_seg(max_mon(len(m), ctx), m, ctx)
+    return list(_walk(max_mon(len(m), ctx), m, min_mon(len(m), ctx), ctx.t))
+
+
+def _spread_slice(monomials: Iterable[Sequence[int]], ctx: Context) -> set[Monomial] | None:
+    # the members validated once, or None unless all are t-spread of one degree
+    ms = {validate_monomial(m, ctx) for m in monomials}
+    if len({len(m) for m in ms}) > 1 or not all(_gaps_at_least(m, ctx.t) for m in ms):
+        return None
+    return ms
 
 
 def is_t_lex_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
-    """Whether the set is exactly the slex interval between its extremes."""
-    ms = [validate_monomial(m, ctx) for m in monomials]
-    if not ms:
-        return True
-    if len({len(m) for m in ms}) != 1 or not all(is_t_spread(m, ctx) for m in ms):
+    """Whether the set is exactly the slex interval between its extremes.
+
+    The members all lie in that interval, so they fill it exactly when there
+    are as many of them as the interval holds: a count, not a construction.
+    """
+    ms = _spread_slice(monomials, ctx)
+    if ms is None:
         return False
-    return set(ms) == set(t_lex_seg(slex_max(ms), slex_min(ms), ctx))
-
-
-def _next_in_borel_segment(w: Monomial, u: Monomial, t: int) -> Monomial:
-    # Last position still strictly above the target can be bumped; the tail
-    # is then repacked t apart, which stays below u componentwise.
-    d = len(w)
-    q = d
-    while w[q - 1] + 1 > u[q - 1]:
-        q -= 1
-    start = w[q - 1] + 1
-    return w[: q - 1] + tuple(start + j * t for j in range(d - q + 1))
+    # with two members or more the degree is positive, as counting needs
+    return len(ms) < 2 or len(ms) == (
+        count_t_lex_mon(slex_min(ms), ctx) - count_t_lex_mon(slex_max(ms), ctx) + 1
+    )
 
 
 def t_ss_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]:
@@ -160,12 +171,7 @@ def t_ss_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]
         raise BorelIncomparableError(
             "segment start must dominate its end in the Borel order"
         )
-    out = [top]
-    w = top
-    while w != bottom:
-        w = _next_in_borel_segment(w, bottom, ctx.t)
-        out.append(w)
-    return out
+    return list(_walk(top, bottom, bottom, ctx.t))
 
 
 def t_ss_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
@@ -175,40 +181,27 @@ def t_ss_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
     monomial of the degree is always its first element.
     """
     m = require_t_spread(u, ctx)
-    return t_ss_seg(max_mon(len(m), ctx), m, ctx)
+    return list(_walk(max_mon(len(m), ctx), m, m, ctx.t))
 
 
 def t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> list[Monomial]:
     """Smallest strongly stable set containing all the given monomials."""
-    out: set[Monomial] = set()
-    for u in monomials:
-        out.update(t_ss_mon(u, ctx))
-    return sorted(out)
+    return sorted({w for u in monomials for w in t_ss_mon(u, ctx)})
 
 
 def is_t_ss_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     """Whether the set is the strongly stable segment between its extremes."""
-    ms = [validate_monomial(m, ctx) for m in monomials]
+    ms = _spread_slice(monomials, ctx)
     if not ms:
-        return True
-    if len({len(m) for m in ms}) != 1 or not all(is_t_spread(m, ctx) for m in ms):
-        return False
-    try:
-        seg = t_ss_seg(slex_max(ms), slex_min(ms), ctx)
-    except BorelIncomparableError:
-        return False
-    return set(ms) == set(seg)
+        return ms is not None  # the empty set is a segment
+    top, bottom = slex_max(ms), slex_min(ms)
+    return borel_geq(top, bottom) and ms == set(_walk(top, bottom, bottom, ctx.t))
 
 
 def is_t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     """Whether the set is closed under all single exchange moves."""
-    ms = [validate_monomial(m, ctx) for m in monomials]
-    if not ms:
-        return True
-    if len({len(m) for m in ms}) != 1 or not all(is_t_spread(m, ctx) for m in ms):
-        return False
-    pool = set(ms)
-    return all(w in pool for u in pool for w in exchange_moves(u, ctx))
+    ms = _spread_slice(monomials, ctx)
+    return ms is not None and all(w in ms for u in ms for w in exchange_moves(u, ctx))
 
 
 def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
@@ -218,9 +211,7 @@ def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
     generator must land back in the ideal (not necessarily among the
     generators).
     """
-    if not all(is_t_spread(g, ideal.ctx) for g in ideal.gens):
-        return False
-    return all(
+    return is_t_spread_ideal(ideal) and all(
         ideal.contains(w) for g in ideal.gens for w in exchange_moves(g, ideal.ctx)
     )
 
@@ -228,14 +219,12 @@ def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
 def t_ss_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
     """Smallest t-strongly stable ideal containing the given one.
 
-    Closes the generators degree by degree and minimalizes across degrees;
+    Closes each generator in its own degree and minimalizes across degrees;
     nothing outside the generator degrees is ever touched.
     """
-    require_t_spread_ideal(ideal)
-    closed: list[Monomial] = []
-    for d in ideal.degrees():
-        closed += t_ss_set(ideal.gens_of_degree(d), ideal.ctx)
-    return MonomialIdeal(ideal.ctx, tuple(closed))
+    ctx = require_t_spread_ideal(ideal).ctx
+    closed = {w for g in ideal.gens for w in _walk(max_mon(len(g), ctx), g, g, ctx.t)}
+    return MonomialIdeal(ctx, tuple(closed))
 
 
 def t_spread_component(ideal: MonomialIdeal, upto: int | None = None) -> Iterator[tuple[int, list[Monomial]]]:
@@ -245,13 +234,14 @@ def t_spread_component(ideal: MonomialIdeal, upto: int | None = None) -> Iterato
     degree when omitted).  The degree-j slice is the shadow of the previous
     one joined with the degree-j generators; peeling the largest index not in
     a witness generator shows every t-spread member of the ideal arises this
-    way.
+    way.  Raises NotTSpreadError, on the first step, unless the ideal is
+    t-spread.
     """
-    ctx = ideal.ctx
+    ctx = require_t_spread_ideal(ideal).ctx
     last = ctx.max_degree() if upto is None else upto
     current: list[Monomial] = []
     for j in range(1, last + 1):
-        grown = set(t_shadow_set(current, ctx))
+        grown = {w for m in current for w in _shadow(m, ctx)}
         grown.update(ideal.gens_of_degree(j))
         current = sorted(grown)
         yield j, current
@@ -263,7 +253,6 @@ def is_t_lex_ideal(ideal: MonomialIdeal) -> bool:
     A nonempty slice is initial exactly when its size matches the size of
     the lex set of its slex-least member, so no segment is ever built.
     """
-    require_t_spread_ideal(ideal)
     for _, slice_j in t_spread_component(ideal):
         if slice_j and len(slice_j) != count_t_lex_mon(slex_min(slice_j), ideal.ctx):
             return False

@@ -241,7 +241,7 @@ class MonomialIdeal:
 
 
 def is_t_spread_ideal(ideal: MonomialIdeal) -> bool:
-    return all(is_t_spread(g, ideal.ctx) for g in ideal.gens)
+    return all(_gaps_at_least(g, ideal.ctx.t) for g in ideal.gens)
 
 
 def require_t_spread_ideal(ideal: MonomialIdeal) -> MonomialIdeal:

@@ -18,9 +18,8 @@ from .core import (
     Monomial,
     MonomialIdeal,
     TSpreadError,
-    require_t_spread_ideal,
 )
-from .construct import iter_veronese, t_shadow_set, t_spread_component
+from .construct import _shadow, iter_veronese, t_spread_component
 from .count import BinomialTerm, binomial, card_veronese
 
 
@@ -31,12 +30,7 @@ def ft_vector(ideal: MonomialIdeal) -> list[int]:
     entry 0 is always 1 since ideals here are proper.  Vectors are never
     truncated, so trailing zeros are meaningful.
     """
-    require_t_spread_ideal(ideal)
-    ctx = ideal.ctx
-    out = [1]
-    for j, slice_j in t_spread_component(ideal):
-        out.append(card_veronese(j, ctx) - len(slice_j))
-    return out
+    return [1] + [card_veronese(j, ideal.ctx) - len(s) for j, s in t_spread_component(ideal)]
 
 
 def t_macaulay_expansion(
@@ -121,7 +115,7 @@ def t_lex_ideal_from_f(f: Sequence[int], ctx: Context) -> MonomialIdeal:
     for j in range(1, len(fv)):
         size = card_veronese(j, ctx) - fv[j]
         segment = list(islice(iter_veronese(j, ctx), size))
-        shadow = set(t_shadow_set(prev, ctx))
+        shadow = {w for m in prev for w in _shadow(m, ctx)}
         if not shadow.issubset(segment):
             # cannot happen for admissible f: shadows of initial segments are
             # initial and the growth bound caps their size
@@ -135,5 +129,4 @@ def t_lex_ideal_from_f(f: Sequence[int], ctx: Context) -> MonomialIdeal:
 
 def t_lex_ideal_of(ideal: MonomialIdeal) -> MonomialIdeal:
     """The lex ideal sharing the ideal's quotient count vector."""
-    require_t_spread_ideal(ideal)
     return t_lex_ideal_from_f(ft_vector(ideal), ideal.ctx)

@@ -264,6 +264,35 @@ class TestErrors:
         assert code == 1 and "output would hold 20535023166 monomials" in err
 
     @pytest.mark.parametrize(
+        "argv, predicted",
+        [
+            (["ft-vector"], 2**40 - 41),
+            (["is-lex-ideal"], 2**40 - 41),
+            (["lex-ideal"], 2**40 - 41),
+            (["lex-ideal", "--f", "1,40,780,9880,91390,10"], comb(40, 5) - 10 + comb(40, 6)),
+        ],
+    )
+    def test_ideal_guards_are_immediate(self, capsys, monkeypatch, argv, predicted):
+        # every slice from degree 2 up, or the segments of the vector
+        monkeypatch.setattr("sys.stdin", io.StringIO("1,2\n"))
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv, "--n", "40", "--t", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and f"output would hold {predicted} monomials" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lex-ideal", "--t", "1", "--f", "1,40,781,0,0,0"], "expected a valid ft-vector"),
+            (["ft-vector", "--t", "2"], "expected a t-spread ideal"),
+        ],
+    )
+    def test_invalid_input_is_not_refused_for_size(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1,2\n"))
+        code, _, err = run(capsys, *argv, "--n", "40")
+        assert code == 1 and message in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["is-ft", "--n", "5", "--t", "1", "a,b"],

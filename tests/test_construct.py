@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import REALIZE_BASICS, REALIZE_GENERATORS
+from tspread import construct
 from tspread.core import (
     BorelIncomparableError,
     Context,
@@ -21,6 +22,7 @@ from tspread.construct import (
     t_next_lex,
     t_shadow,
     t_shadow_set,
+    t_spread_component,
     t_ss_ideal,
     t_ss_mon,
     t_ss_seg,
@@ -28,6 +30,7 @@ from tspread.construct import (
     t_veronese,
     t_veronese_ideal,
 )
+from tspread.oracle import enumerate_veronese, oracle_borel_set, oracle_lex_set, oracle_shadow
 
 class TestShadow:
     def test_known_shadow(self):
@@ -240,3 +243,61 @@ class TestIdealOperations:
     def test_is_t_lex_ideal_rejects_non_spread(self):
         with pytest.raises(NotTSpreadError):
             is_t_lex_ideal(MonomialIdeal(Context(8, 2), ((1, 2),)))
+
+    def test_component_rejects_non_spread_top_degree(self):
+        # no shadow of (2, 3, 6) is ever taken, so only an upfront check sees it
+        with pytest.raises(NotTSpreadError):
+            list(t_spread_component(MonomialIdeal(Context(6, 2), ((4,), (2, 3, 6)))))
+
+
+GRID = [(n, t) for n in range(1, 10) for t in range(1, 4)]
+
+
+@pytest.mark.parametrize("n,t", GRID)
+def test_walks_and_shadow_match_oracle_in_order(n, t):
+    ctx = Context(n, t)
+    for d in range(ctx.max_degree() + 2):
+        chain = enumerate_veronese(d, ctx)
+        assert t_veronese(d, ctx) == chain
+        for u in chain:
+            assert t_lex_mon(u, ctx) == sorted(oracle_lex_set(u, ctx))
+            assert t_ss_mon(u, ctx) == sorted(oracle_borel_set(u, ctx))
+            assert t_shadow(u, ctx) == sorted(oracle_shadow([u], ctx))
+
+
+@pytest.mark.parametrize("n,t", GRID)
+def test_is_t_lex_seg_on_every_interval(n, t):
+    ctx = Context(n, t)
+    for d in range(ctx.max_degree() + 1):
+        chain = enumerate_veronese(d, ctx)
+        for i in range(len(chain)):
+            for j in range(i, len(chain)):
+                interval = chain[i : j + 1]
+                assert is_t_lex_seg(interval, ctx)
+                if len(interval) > 2:
+                    del interval[len(interval) // 2]
+                    assert not is_t_lex_seg(interval, ctx)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ctx: t_lex_mon(min_mon(5, ctx), ctx),
+        lambda ctx: t_lex_seg(max_mon(5, ctx), min_mon(5, ctx), ctx),
+        lambda ctx: t_veronese(5, ctx),
+        lambda ctx: t_ss_mon(min_mon(5, ctx), ctx),
+    ],
+    ids=["t_lex_mon", "t_lex_seg", "t_veronese", "t_ss_mon"],
+)
+def test_constructions_validate_a_bounded_number_of_times(monkeypatch, build):
+    calls = []
+    checked = construct.require_t_spread
+
+    def counting(u, ctx):
+        calls.append(u)
+        return checked(u, ctx)
+
+    monkeypatch.setattr(construct, "require_t_spread", counting)
+    ctx = Context(20, 2)
+    assert len(build(ctx)) == 4368  # C(16, 5): the whole degree-5 slice
+    assert len(calls) <= 2
