@@ -6,6 +6,14 @@ C(max(u) - t(j-1) - 1, i).  That closed form is the only resolution engine
 here; corners (extremal entries) fall out of the per-degree top indices, and
 prescribed corner configurations are realized greedily and verified by a
 round trip through the detector.
+
+No generator scan is left.  Whether the ideal is strongly stable at all is
+decided with d^2 hash lookups per generator (single decrements and prefix
+membership, see ``construct.is_t_ss_ideal``), so every invariant here is
+linear in the number of generators.  Realization tests its candidates
+against the ideal built so far the same way: that ideal is strongly stable
+by construction, so a t-spread monomial lies in it exactly when one of its
+prefixes is a generator.
 """
 from __future__ import annotations
 
@@ -21,7 +29,7 @@ from .core import (
     NotStronglyStableError,
     TSpreadError,
 )
-from .construct import is_t_ss_ideal, iter_veronese, t_ss_set
+from .construct import _has_prefix_in, is_t_ss_ideal, iter_veronese, t_ss_set
 
 
 @dataclass(frozen=True)
@@ -198,9 +206,15 @@ def realize_extremal_betti(
     already contain, then closes them off.  The result is verified by
     re-detecting the corners; any mismatch or shortage of candidates means
     the configuration is not realizable.
+
+    The running ideal is strongly stable by construction, so membership is
+    a prefix lookup in its generator set.  Degrees strictly increase, so no
+    new closure member divides an old generator: the new minimal generators
+    are the closure members outside the running ideal, appended in order.
     """
     basics: list[Monomial] = []
-    running = MonomialIdeal(ctx, ())
+    gens: list[Monomial] = []
+    gen_set: set[Monomial] = set()
     for (k, l), a in zip(config.corners, config.values):
         top = k + ctx.t * (l - 1) + 1
         if top > ctx.n:
@@ -209,7 +223,7 @@ def realize_extremal_betti(
             )
         chosen: list[Monomial] = []
         for w in _candidates_with_top(l, top, ctx):
-            if running.contains(w):
+            if _has_prefix_in(w, gen_set):
                 continue
             chosen.append(w)
             if len(chosen) == a:
@@ -220,7 +234,10 @@ def realize_extremal_betti(
                 f"cannot reach value {a}"
             )
         basics += chosen
-        running = MonomialIdeal(ctx, running.gens + tuple(t_ss_set(chosen, ctx)))
+        fresh = [w for w in t_ss_set(chosen, ctx) if not _has_prefix_in(w, gen_set)]
+        gens += fresh
+        gen_set.update(fresh)
+    running = MonomialIdeal._of_minimal(ctx, tuple(gens))
     detected = extremal_corners(running)
     if detected != config:
         raise InfeasibleCornersError(

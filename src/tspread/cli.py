@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
@@ -160,10 +161,32 @@ def _expansion(result: int | list[tuple[int, int]]) -> Rendered:
 
 
 def _slices_size(ideal: MonomialIdeal, ctx: Context) -> int:
-    """Monomials in the degree slices from the lowest generator degree up."""
+    """Monomials in the degree slices from the lowest generator degree up.
+
+    All slices together hold T(n) monomials, where T(m) = T(m-1) + T(m-t)
+    and T(m) = 1 for m <= 0 count the t-spread subsets of [m] (those
+    without m, and those of [m-t] with m added); the slices below the
+    lowest degree are subtracted.  That is n additions.  Summing the slices
+    directly takes a binomial, about j multiplications, per slice j, so it
+    is the cheaper one when there are fewer than sqrt(n) slices to sum, as
+    at a large spread (where the recurrence's window of t terms would also
+    be large).
+    """
     core.require_t_spread_ideal(ideal)
-    low = min(ideal.degrees(), default=ctx.max_degree() + 1)
-    return sum(count.card_veronese(j, ctx) for j in range(low, ctx.max_degree() + 1))
+    top = ctx.max_degree()
+    low = min(ideal.degrees(), default=top + 1)
+    if (top + 1 - low) ** 2 <= ctx.n:
+        return sum(count.card_veronese(j, ctx) for j in range(low, top + 1))
+    window = deque([1] * ctx.t, maxlen=ctx.t)  # T(m-t), ..., T(m-1)
+    for _ in range(ctx.n):
+        window.append(window[-1] + window[0])
+    return window[-1] - sum(count.card_veronese(j, ctx) for j in range(low))
+
+
+def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:
+    """Monomials the closure walk visits: each generator's strongly stable set."""
+    core.require_t_spread_ideal(ideal)
+    return sum(count.count_t_ss_mon(g, ctx) for g in ideal.gens)
 
 
 def _lex_ideal_size(f: list[int] | None, ideal: MonomialIdeal | None, ctx: Context) -> int:
@@ -238,7 +261,8 @@ COMMANDS: dict[str, Command] = {
         lambda a, ctx: count.cq_operator(a), _scalar, oracle=_silent, ring=False),
     "ss-ideal": Command(
         "smallest strongly stable ideal containing the input ideal", (IDEAL,),
-        lambda ideal, ctx: construct.t_ss_ideal(ideal).gens, _monomial_list),
+        lambda ideal, ctx: construct.t_ss_ideal(ideal).gens, _monomial_list,
+        size=_closure_size),
     "veronese": Command(
         "all t-spread monomials of one degree", (INT._replace(name="degree"),),
         construct.t_veronese, _monomial_list, size=count.card_veronese,
@@ -324,9 +348,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if row.size is not None and not args.force:
             predicted = row.size(*values, ctx)
             if predicted > FORCE_LIMIT:
-                raise TSpreadError(
-                    f"output would hold {predicted} monomials; pass --force to build it"
+                bits = predicted.bit_length()
+                # CPython refuses to print integers of more than 4300 digits;
+                # 10^4 bits is about 3010 digits, and 0.30102 < log10(2)
+                size = (
+                    str(predicted) if bits <= 10**4
+                    else f"at least 10^{(bits - 1) * 30102 // 10**5}"
                 )
+                raise TSpreadError(f"output would hold {size} monomials; pass --force to build it")
         result = row.kernel(*values, ctx)
         payload, lines = row.render(result)
         if args.oracle and row.oracle is None:

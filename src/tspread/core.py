@@ -223,6 +223,15 @@ class MonomialIdeal:
             canon.append(m)
         object.__setattr__(self, "gens", tuple(minimalize(canon)))
 
+    @classmethod
+    def _of_minimal(cls, ctx: Context, gens: tuple[Monomial, ...]) -> MonomialIdeal:
+        """Unchecked constructor for generators already valid, minimal and in
+        (degree, slex) order, as the constructions here build them."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "ctx", ctx)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
+
     @property
     def is_zero(self) -> bool:
         return not self.gens

@@ -5,9 +5,20 @@ t-spread monomials outside it.  A sequence of such counts is admissible
 exactly when each entry respects the shifted Macaulay bound computed from
 the previous one; admissible sequences are realized by ideals whose degree
 slices are initial slex segments.
+
+For a t-strongly stable ideal the counts need no monomial at all.  By the
+prefix lemma (see ``construct.is_t_ss_ideal``) every t-spread member w
+splits uniquely as w = g v with g a minimal generator, its shortest
+generator prefix, and v t-spread with min v >= max g + t (the
+Eliahou-Kervaire decomposition, after Ene-Herzog-Qureshi).  So the
+ideal holds, in degree k, the sum over g of the number of t-spread
+(k - deg g)-subsets of the n - max g - t + 1 variables from max g + t on.
+That costs a binomial per generator shape and degree.  Other ideals are
+counted slice by slice through ``t_spread_component``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice
 from math import comb
 from typing import Iterable, Sequence
@@ -19,7 +30,7 @@ from .core import (
     MonomialIdeal,
     TSpreadError,
 )
-from .construct import _shadow, iter_veronese, t_spread_component
+from .construct import _shadow, is_t_ss_ideal, iter_veronese, t_spread_component
 from .count import BinomialTerm, binomial, card_veronese
 
 
@@ -30,7 +41,22 @@ def ft_vector(ideal: MonomialIdeal) -> list[int]:
     entry 0 is always 1 since ideals here are proper.  Vectors are never
     truncated, so trailing zeros are meaningful.
     """
-    return [1] + [card_veronese(j, ideal.ctx) - len(s) for j, s in t_spread_component(ideal)]
+    ctx = ideal.ctx
+    if not is_t_ss_ideal(ideal):
+        return [1] + [card_veronese(j, ctx) - len(s) for j, s in t_spread_component(ideal)]
+    # generators sharing degree and largest index contribute alike
+    shapes = Counter((len(g), g[-1]) for g in ideal.gens)
+    t = ctx.t
+    f = [1]
+    for k in range(1, ctx.max_degree() + 1):
+        # t-spread e-subsets of m consecutive variables: C(m - (e-1)(t-1), e)
+        members = sum(
+            c * binomial(ctx.n - top - t + 1 - (k - d - 1) * (t - 1), k - d)
+            for (d, top), c in shapes.items()
+            if d <= k
+        )
+        f.append(card_veronese(k, ctx) - members)
+    return f
 
 
 def t_macaulay_expansion(
@@ -124,7 +150,8 @@ def t_lex_ideal_from_f(f: Sequence[int], ctx: Context) -> MonomialIdeal:
             )
         gens += [w for w in segment if w not in shadow]
         prev = segment
-    return MonomialIdeal(ctx, tuple(gens))
+    # minimal: a t-spread multiple of an earlier generator is in the shadow
+    return MonomialIdeal._of_minimal(ctx, tuple(gens))
 
 
 def t_lex_ideal_of(ideal: MonomialIdeal) -> MonomialIdeal:

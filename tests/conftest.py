@@ -1,6 +1,13 @@
 """Shared fixture data: worked examples used across the test modules."""
 
-from tspread.core import Context, MonomialIdeal
+from functools import lru_cache
+from itertools import chain, combinations
+
+import pytest
+from hypothesis import strategies as st
+
+from tspread.core import Context, MonomialIdeal, minimalize
+from tspread.oracle import enumerate_veronese, oracle_ss_closure
 
 # Basic monomials realizing corners {(6,2),(5,4),(4,5),(3,7)} with values
 # (2,1,3,2) over 25 variables at spread 3, and the minimal generators of the
@@ -47,3 +54,83 @@ def realize_ideal() -> MonomialIdeal:
 
 def kk_ideal() -> MonomialIdeal:
     return MonomialIdeal(KK_CTX, KK_IDEAL_GENS)
+
+
+# Exhaustive grids of small ideals.  Ideals of one or two generators run to
+# n = 8 (46 499 ideals); the distinct strongly stable ideals among their
+# closures run to n = 6, since at n = 8, t = 1 alone there are 28 000 of
+# them and each check walks every monomial of the ring.
+IDEAL_RINGS = [(n, t) for n in range(1, 9) for t in range(1, 4)]
+CLOSURE_RINGS = [(n, t) for n in range(1, 7) for t in range(1, 4)]
+
+
+@lru_cache(maxsize=None)
+def spread_monomials(n: int, t: int) -> tuple:
+    """Every t-spread monomial of positive degree, by the oracle."""
+    ctx = Context(n, t)
+    return tuple(m for d in range(1, ctx.max_degree() + 1) for m in enumerate_veronese(d, ctx))
+
+
+def small_ideals(n: int, t: int):
+    """(ideal, oracle closure) for every ideal of one or two t-spread generators.
+
+    Moves reachable from a union of monomials are those reachable from one
+    of them, so the oracle closure of a pair is the union of the closures
+    of its members.
+    """
+    ctx = Context(n, t)
+    ms = spread_monomials(n, t)
+    borel = {m: frozenset(oracle_ss_closure([m], ctx)) for m in ms}
+    for gens in chain(((m,) for m in ms), combinations(ms, 2)):
+        yield MonomialIdeal(ctx, gens), frozenset().union(*(borel[g] for g in gens))
+
+
+def small_closures(n: int, t: int) -> list:
+    """The distinct strongly stable ideals that close the small ideals, by the oracle."""
+    ctx = Context(n, t)
+    gens = {tuple(minimalize(closure)) for _, closure in small_ideals(n, t)}
+    return [MonomialIdeal(ctx, g) for g in sorted(gens)]
+
+
+def oracle_ft(ideal: MonomialIdeal) -> list:
+    """Quotient counts by enumeration: t-spread monomials no generator divides."""
+    ctx = ideal.ctx
+    return [1] + [
+        sum(1 for w in enumerate_veronese(d, ctx) if not any(set(g) <= set(w) for g in ideal.gens))
+        for d in range(1, ctx.max_degree() + 1)
+    ]
+
+
+@st.composite
+def spread_ideals(draw, n_max=14, t_max=4, d_max=4, gens_max=4):
+    """A t-spread ideal of one to ``gens_max`` generators of degree <= ``d_max``."""
+    n = draw(st.integers(1, n_max))
+    t = draw(st.integers(1, t_max))
+    ctx = Context(n, t)
+    gens = []
+    for _ in range(draw(st.integers(1, gens_max))):
+        d = draw(st.integers(1, min(d_max, ctx.max_degree())))
+        # a d-subset of [n - (d-1)(t-1)], spread out by k(t-1) at position k
+        pick = draw(st.lists(st.integers(1, n - (d - 1) * (t - 1)), min_size=d, max_size=d,
+                             unique=True))
+        gens.append(tuple(x + k * (t - 1) for k, x in enumerate(sorted(pick))))
+    return MonomialIdeal(ctx, tuple(gens))
+
+
+@pytest.fixture
+def minimal_builds(monkeypatch):
+    """Checks every ideal built by the unchecked constructor, and lists them.
+
+    Each must come with its generators minimal and in (degree, slex) order,
+    which is exactly what ``minimalize`` returns.
+    """
+    built = []
+    unchecked = MonomialIdeal._of_minimal.__func__
+
+    def checked(cls, ctx, gens):
+        assert gens == tuple(minimalize(gens))
+        built.append(gens)
+        return unchecked(cls, ctx, gens)
+
+    monkeypatch.setattr(MonomialIdeal, "_of_minimal", classmethod(checked))
+    return built

@@ -1,14 +1,19 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
+    CLOSURE_RINGS,
     REALIZE_BASICS,
     REALIZE_CORNERS,
     REALIZE_CTX,
     REALIZE_TOTALS,
     REALIZE_VALUES,
     realize_ideal,
+    small_closures,
+    small_ideals,
+    spread_ideals,
 )
 from tspread.betti import (
     BettiTable,
@@ -25,7 +30,10 @@ from tspread.core import (
     NotStronglyStableError,
     TSpreadError,
     max_mon,
+    minimalize,
 )
+from tspread.construct import t_ss_ideal
+from tspread.oracle import oracle_ss_closure
 
 
 class TestBettiTable:
@@ -163,3 +171,36 @@ class TestRealization:
         config = CornerConfig(((9, 1), (1, 2)), (1, 1))
         with pytest.raises(InfeasibleCornersError):
             realize_extremal_betti(config, ctx)
+
+
+@pytest.mark.parametrize("n,t", CLOSURE_RINGS)
+def test_invariants_exactly_on_strongly_stable_ideals(n, t):
+    for ideal, closure in small_ideals(n, t):
+        if tuple(minimalize(closure)) == ideal.gens:
+            assert graded_betti(ideal).total(0) == len(ideal.gens)
+            assert extremal_corners(ideal).corners
+        else:
+            with pytest.raises(NotStronglyStableError):
+                graded_betti(ideal)
+            with pytest.raises(NotStronglyStableError):
+                extremal_corners(ideal)
+
+
+def realization_matches_oracle(ideal):
+    config = extremal_corners(ideal)
+    basics, realized = realize_extremal_betti(config, ideal.ctx)
+    assert realized.gens == tuple(minimalize(oracle_ss_closure(basics, ideal.ctx)))
+    assert extremal_corners(realized) == config
+
+
+@pytest.mark.parametrize("n,t", CLOSURE_RINGS)
+def test_realization_matches_oracle_closure(n, t, minimal_builds):
+    for ideal in small_closures(n, t):
+        realization_matches_oracle(ideal)
+    assert minimal_builds  # each realization went through the unchecked constructor
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(ideal=spread_ideals(n_max=14))
+def test_realization_matches_oracle_closure_hypothesis(ideal):
+    realization_matches_oracle(t_ss_ideal(ideal))

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import KK_FT, KK_IDEAL_GENS, KK_LEX_GENS, REALIZE_GENERATORS
-from tspread.cli import COMMANDS, main, parse_monomial
+from tspread import core, count
+from tspread.cli import COMMANDS, _slices_size, main, parse_monomial
+from tspread.core import Context, MonomialIdeal
 
 
 def run(capsys, *argv):
@@ -280,11 +282,34 @@ class TestErrors:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and f"output would hold {predicted} monomials" in err
 
+    def test_slice_guard_is_immediate_at_large_n(self, capsys, monkeypatch):
+        # 2^20000 - 20001 subsets: every one but the empty one and the
+        # variables; too many digits to print, so a power of ten bounds it
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "ft-vector", "--n", "20000", "--t", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and "output would hold at least 10^6020 monomials" in err
+        assert 10**6020 <= 2**20000 - 20001 < 10**6021
+
+    def test_closure_guard(self, capsys, monkeypatch):
+        # 258 985 monomials walked, 129 913 generators out
+        gens = "5,12,20,30,38\n3,9,18,27\n7,15,25,33,40\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(gens))
+        code, out, _ = run(capsys, "ss-ideal", "--n", "40", "--t", "2")
+        assert code == 0 and len(out.splitlines()) == 129913
+        monkeypatch.setattr("sys.stdin", io.StringIO("20,60,100,140,180,199\n"))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "ss-ideal", "--n", "200", "--t", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and "output would hold 20535023166 monomials" in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["lex-ideal", "--t", "1", "--f", "1,40,781,0,0,0"], "expected a valid ft-vector"),
             (["ft-vector", "--t", "2"], "expected a t-spread ideal"),
+            (["ss-ideal", "--t", "2"], "expected a t-spread ideal"),
         ],
     )
     def test_invalid_input_is_not_refused_for_size(self, capsys, monkeypatch, argv, message):
@@ -304,6 +329,16 @@ class TestErrors:
             main(argv)
         assert excinfo.value.code == 2
         assert f"bad vector {argv[-1]!r}" in capsys.readouterr().err
+
+    def test_slice_predictor_matches_direct_sum(self):
+        for n in range(1, 41):
+            for t in range(1, 8):
+                ctx = Context(n, t)
+                top = ctx.max_degree()
+                for low in range(1, top + 2):
+                    gens = (core.max_mon(low, ctx),) if low <= top else ()
+                    direct = sum(count.card_veronese(j, ctx) for j in range(low, top + 1))
+                    assert _slices_size(MonomialIdeal(ctx, gens), ctx) == direct, (n, t, low)
 
     def test_undecodable_ideal_file_exit_two(self, capsys, tmp_path):
         path = tmp_path / "ideal.txt"

@@ -1,6 +1,18 @@
-import pytest
+import time
 
-from conftest import REALIZE_BASICS, REALIZE_GENERATORS
+import pytest
+from hypothesis import given, settings
+
+from conftest import (
+    CLOSURE_RINGS,
+    IDEAL_RINGS,
+    REALIZE_BASICS,
+    REALIZE_GENERATORS,
+    small_closures,
+    small_ideals,
+    spread_ideals,
+    spread_monomials,
+)
 from tspread import construct
 from tspread.core import (
     BorelIncomparableError,
@@ -8,8 +20,10 @@ from tspread.core import (
     MonomialIdeal,
     NotTSpreadError,
     TSpreadError,
+    exchange_moves,
     max_mon,
     min_mon,
+    minimalize,
 )
 from tspread.construct import (
     is_t_lex_ideal,
@@ -30,7 +44,13 @@ from tspread.construct import (
     t_veronese,
     t_veronese_ideal,
 )
-from tspread.oracle import enumerate_veronese, oracle_borel_set, oracle_lex_set, oracle_shadow
+from tspread.oracle import (
+    enumerate_veronese,
+    oracle_borel_set,
+    oracle_lex_set,
+    oracle_shadow,
+    oracle_ss_closure,
+)
 
 class TestShadow:
     def test_known_shadow(self):
@@ -301,3 +321,88 @@ def test_constructions_validate_a_bounded_number_of_times(monkeypatch, build):
     ctx = Context(20, 2)
     assert len(build(ctx)) == 4368  # C(16, 5): the whole degree-5 slice
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("n,t", IDEAL_RINGS)
+def test_strongly_stable_ideals_match_oracle(n, t):
+    # exact both ways: strongly stable exactly when the ideal is its closure
+    for ideal, closure in small_ideals(n, t):
+        want = tuple(minimalize(closure))
+        assert is_t_ss_ideal(ideal) == (want == ideal.gens), ideal.gens
+        assert t_ss_ideal(ideal).gens == want, ideal.gens
+
+
+@pytest.mark.parametrize("n,t", CLOSURE_RINGS)
+def test_prefix_membership_matches_scan(n, t, minimal_builds):
+    for ideal in small_closures(n, t):
+        gens = set(ideal.gens)
+        for w in spread_monomials(n, t):
+            assert construct._has_prefix_in(w, gens) == ideal.contains(w), (ideal.gens, w)
+        assert t_ss_ideal(ideal) == ideal
+    assert minimal_builds  # t_ss_ideal went through the unchecked constructor
+
+
+@pytest.mark.parametrize("n,t", CLOSURE_RINGS)
+def test_is_t_ss_set_matches_exchange_closure(n, t):
+    ctx = Context(n, t)
+    ms = spread_monomials(n, t)
+    for pair in ((u, v) for u in ms for v in ms if len(u) == len(v) and u <= v):
+        closed = oracle_ss_closure(pair, ctx)
+        assert is_t_ss_set(closed, ctx)
+        assert is_t_ss_set(pair, ctx) == (closed == set(pair))
+        # the public exchange_moves, which nothing in the package calls
+        # any more, agrees with the oracle's moves
+        assert all(w in closed for u in closed for w in exchange_moves(u, ctx))
+
+
+def test_veronese_ideal_is_built_minimal(minimal_builds):
+    for n, t in CLOSURE_RINGS:
+        ctx = Context(n, t)
+        for d in range(1, ctx.max_degree() + 2):
+            assert t_veronese_ideal(d, ctx).gens == tuple(enumerate_veronese(d, ctx))
+    with pytest.raises(TSpreadError, match="unit monomial"):
+        t_veronese_ideal(0, Context(5, 2))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(ideal=spread_ideals())
+def test_strongly_stable_ideals_match_oracle_hypothesis(ideal):
+    want = tuple(minimalize(oracle_ss_closure(ideal.gens, ideal.ctx)))
+    assert is_t_ss_ideal(ideal) == (want == ideal.gens)
+    closed = t_ss_ideal(ideal)
+    assert closed.gens == want
+    gens = set(want)
+    for w in closed.gens + ideal.gens:
+        for u in t_shadow(w, ideal.ctx) + [w[1:], w[:-1]]:
+            assert construct._has_prefix_in(u, gens) == closed.contains(u)
+
+
+def test_strongly_stable_ideals_need_no_scan(monkeypatch):
+    from tspread import betti, kk
+
+    ideal = MonomialIdeal(Context(25, 3), REALIZE_GENERATORS)
+
+    def refuse(*_):
+        raise AssertionError("generator scan on a strongly stable ideal")
+
+    monkeypatch.setattr(MonomialIdeal, "contains", refuse)
+    monkeypatch.setattr("tspread.core.minimalize", refuse)
+    assert is_t_ss_ideal(ideal) and t_ss_ideal(ideal) == ideal
+    config = betti.extremal_corners(ideal)
+    assert betti.realize_extremal_betti(config, ideal.ctx)[1] == ideal
+    assert betti.graded_betti(ideal).total(0) == len(ideal.gens)
+    assert kk.ft_vector(kk.t_lex_ideal_of(ideal)) == kk.ft_vector(ideal)
+    assert not is_t_lex_ideal(ideal)
+    assert len(t_veronese_ideal(3, ideal.ctx).gens) == 1330  # C(21, 3)
+
+
+def test_large_closure_is_fast():
+    # 258 985 monomials visited, 129 913 minimal generators
+    ctx = Context(40, 2)
+    start = time.perf_counter()
+    gens = ((5, 12, 20, 30, 38), (3, 9, 18, 27), (7, 15, 25, 33, 40))
+    closed = t_ss_ideal(MonomialIdeal(ctx, gens))
+    assert time.perf_counter() - start < 10.0
+    assert len(closed.gens) == 129913
+    assert closed.gens[0] == (1, 3, 5, 7) and closed.gens[-1] == (7, 15, 25, 33, 40)
+    assert is_t_ss_ideal(closed)

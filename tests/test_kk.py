@@ -2,15 +2,26 @@ import time
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import KK_CTX, KK_FT, KK_LEX_GENS, kk_ideal
-from tspread.construct import is_t_lex_ideal
+from conftest import (
+    CLOSURE_RINGS,
+    KK_CTX,
+    KK_FT,
+    KK_LEX_GENS,
+    kk_ideal,
+    oracle_ft,
+    small_closures,
+    spread_ideals,
+)
+from tspread.construct import is_t_lex_ideal, is_t_ss_ideal, t_spread_component, t_ss_ideal
 from tspread.core import (
     Context,
     InvalidFtVectorError,
     MonomialIdeal,
     NotTSpreadError,
     TSpreadError,
+    minimalize,
 )
 from tspread.count import card_veronese
 from tspread.kk import (
@@ -36,6 +47,32 @@ class TestFtVector:
     def test_rejects_non_spread(self):
         with pytest.raises(NotTSpreadError):
             ft_vector(MonomialIdeal(KK_CTX, ((1, 2, 3),)))
+
+
+def component_ft(ideal):
+    """Quotient counts from the degree slices built by shadows."""
+    return [1] + [card_veronese(j, ideal.ctx) - len(s) for j, s in t_spread_component(ideal)]
+
+
+@pytest.mark.parametrize("n,t", CLOSURE_RINGS)
+def test_ft_vector_counts_match_slices_and_oracle(n, t, minimal_builds):
+    for ideal in small_closures(n, t):
+        f = ft_vector(ideal)
+        assert f == component_ft(ideal) == oracle_ft(ideal), ideal.gens
+        lex = t_lex_ideal_of(ideal)
+        assert ft_vector(lex) == f and is_t_lex_ideal(lex)
+    assert minimal_builds  # the lex ideals went through the unchecked constructor
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(ideal=spread_ideals())
+def test_ft_vector_counts_match_slices_hypothesis(ideal):
+    closed = t_ss_ideal(ideal)
+    assert ft_vector(closed) == component_ft(closed)
+    # an ideal that is not strongly stable keeps the slice path
+    assert ft_vector(ideal) == component_ft(ideal)
+    lex = t_lex_ideal_of(closed)
+    assert lex.gens == tuple(minimalize(lex.gens)) and is_t_ss_ideal(lex)
 
 
 class TestMacaulayExpansion:
