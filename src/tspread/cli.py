@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import deque
+from math import prod
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
@@ -163,24 +163,23 @@ def _expansion(result: int | list[tuple[int, int]]) -> Rendered:
 def _slices_size(ideal: MonomialIdeal, ctx: Context) -> int:
     """Monomials in the degree slices from the lowest generator degree up.
 
-    All slices together hold T(n) monomials, where T(m) = T(m-1) + T(m-t)
-    and T(m) = 1 for m <= 0 count the t-spread subsets of [m] (those
-    without m, and those of [m-t] with m added); the slices below the
-    lowest degree are subtracted.  That is n additions.  Summing the slices
-    directly takes a binomial, about j multiplications, per slice j, so it
-    is the cheaper one when there are fewer than sqrt(n) slices to sum, as
-    at a large spread (where the recurrence's window of t terms would also
-    be large).
+    Slice j holds C(m, j) monomials, m = n - (j-1)(t-1) (``card_veronese``).
+    The next slice, C(m - s, j+1) with s = t - 1, is this one times
+    (m-j)(m-j-1)...(m-j-s) and divided by m(m-1)...(m-s+1) and by j+1, an
+    exact division.  So one binomial, then about t small factors per
+    slice, whatever the lowest degree.
     """
     core.require_t_spread_ideal(ideal)
     top = ctx.max_degree()
     low = min(ideal.degrees(), default=top + 1)
-    if (top + 1 - low) ** 2 <= ctx.n:
-        return sum(count.card_veronese(j, ctx) for j in range(low, top + 1))
-    window = deque([1] * ctx.t, maxlen=ctx.t)  # T(m-t), ..., T(m-1)
-    for _ in range(ctx.n):
-        window.append(window[-1] + window[0])
-    return window[-1] - sum(count.card_veronese(j, ctx) for j in range(low))
+    s = ctx.t - 1
+    total = size = count.card_veronese(low, ctx)
+    for j in range(low, top):
+        m = ctx.n - (j - 1) * s
+        size *= prod(range(m - j - s, m - j + 1))
+        size //= prod(range(m - s + 1, m + 1)) * (j + 1)
+        total += size
+    return total
 
 
 def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:

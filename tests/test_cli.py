@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import KK_FT, KK_IDEAL_GENS, KK_LEX_GENS, REALIZE_GENERATORS
 from tspread import core, count
-from tspread.cli import COMMANDS, _slices_size, main, parse_monomial
+from tspread.cli import COMMANDS, FORCE_LIMIT, _closure_size, _slices_size, main, parse_monomial
 from tspread.core import Context, MonomialIdeal
 
 
@@ -292,12 +292,21 @@ class TestErrors:
         assert code == 1 and "output would hold at least 10^6020 monomials" in err
         assert 10**6020 <= 2**20000 - 20001 < 10**6021
 
+    def test_slice_guard_is_immediate_at_mid_degree(self, capsys, monkeypatch):
+        # one generator of degree n/2: the slices from 10000 up hold more
+        # than half of the 2^20000 subsets
+        monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, range(1, 10001))) + "\n"))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "ft-vector", "--n", "20000", "--t", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and "output would hold at least 10^6020 monomials" in err
+
     def test_closure_guard(self, capsys, monkeypatch):
-        # 258 985 monomials walked, 129 913 generators out
-        gens = "5,12,20,30,38\n3,9,18,27\n7,15,25,33,40\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(gens))
-        code, out, _ = run(capsys, "ss-ideal", "--n", "40", "--t", "2")
-        assert code == 0 and len(out.splitlines()) == 129913
+        # the n = 40 closure (258 985 monomials walked, 129 913 generators
+        # out; built in test_construct) is below the limit, so not refused
+        ctx = Context(40, 2)
+        ideal = MonomialIdeal(ctx, [(5, 12, 20, 30, 38), (3, 9, 18, 27), (7, 15, 25, 33, 40)])
+        assert _closure_size(ideal, ctx) == 258985 < FORCE_LIMIT
         monkeypatch.setattr("sys.stdin", io.StringIO("20,60,100,140,180,199\n"))
         start = time.perf_counter()
         code, _, err = run(capsys, "ss-ideal", "--n", "200", "--t", "2")
