@@ -2,10 +2,11 @@
 
 For a t-strongly stable ideal the whole Betti table is determined by the
 minimal generators: a generator u of degree j contributes the binomial row
-C(max(u) - t(j-1) - 1, i).  That closed form is the only resolution engine
-here; corners (extremal entries) fall out of the per-degree top indices, and
-prescribed corner configurations are realized greedily and verified by a
-round trip through the detector.
+C(max(u) - t(j-1) - 1, i), one row per (degree, max index) shape times the
+number of generators of that shape.  That closed form is the only
+resolution engine here; corners (extremal entries) fall out of the
+per-degree top indices, and prescribed corner configurations are realized
+greedily and verified by a round trip through the detector.
 
 No generator scan is left.  Whether the ideal is strongly stable at all is
 decided with d^2 hash lookups per generator (single decrements and prefix
@@ -17,6 +18,7 @@ prefixes is a generator.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterator, Mapping
@@ -140,11 +142,11 @@ def graded_betti(ideal: MonomialIdeal) -> BettiTable:
     _require_strongly_stable(ideal)
     t = ideal.ctx.t
     entries: dict[tuple[int, int], int] = {}
-    for u in ideal.gens:
-        j = len(u)
-        reach = u[-1] - t * (j - 1) - 1
+    # generators sharing degree and largest index contribute alike
+    for (j, top), c in Counter((len(u), u[-1]) for u in ideal.gens).items():
+        reach = top - t * (j - 1) - 1
         for i in range(reach + 1):
-            entries[(i, j)] = entries.get((i, j), 0) + comb(reach, i)
+            entries[(i, j)] = entries.get((i, j), 0) + c * comb(reach, i)
     return BettiTable(entries)
 
 

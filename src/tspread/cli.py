@@ -342,14 +342,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif arg.convert is not None and raw is not None:
             raw = arg.convert(raw, ctx, parser.error)
         values.append(raw)
+    # results are exact integers of any size, but CPython (3.11 on) turns at
+    # most 4300 digits into text unless told otherwise; inputs are parsed by then
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        return _answer(args, row, values, ctx)
+    finally:
+        set_limit(saved)
+
+
+def _answer(args: argparse.Namespace, row: Command, values: list, ctx: Context | None) -> int:
+    """Guard, kernel, render and print for converted values; the exit status."""
     agrees = None
     try:
         if row.size is not None and not args.force:
             predicted = row.size(*values, ctx)
             if predicted > FORCE_LIMIT:
                 bits = predicted.bit_length()
-                # CPython refuses to print integers of more than 4300 digits;
-                # 10^4 bits is about 3010 digits, and 0.30102 < log10(2)
+                # past 10^4 bits (about 3010 digits) a power of ten below the
+                # size names it; 0.30102 < log10(2)
                 size = (
                     str(predicted) if bits <= 10**4
                     else f"at least 10^{(bits - 1) * 30102 // 10**5}"

@@ -12,11 +12,16 @@ Lex and Borel walks share one successor, which bumps the last index still
 below its cap and repacks the tail t apart.  Capped by ``u`` it walks the
 monomials Borel-above ``u``; every monomial of a degree is Borel-above its
 slex-least one, so capped by ``min_mon`` it walks the whole lex order.
-Public functions validate once; the walks and shadows never again.
+A walk may start at any slex rank: the unrank step finds the monomial of
+a given rank in O(d log n) binomials.  Public functions validate once; the
+walks and shadows never again.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from bisect import bisect_left
+from collections import Counter
+from math import comb
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     BorelIncomparableError,
@@ -36,7 +41,7 @@ from .core import (
     slex_min,
     validate_monomial,
 )
-from .count import count_t_lex_mon
+from .count import binomial, count_t_lex_mon
 
 
 def _shadow(m: Monomial, ctx: Context) -> list[Monomial]:
@@ -84,6 +89,26 @@ def _walk(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> Iterator[M
     while w != bottom:
         w = _step(w, caps, t)
         yield w
+
+
+def _unrank(r: int, d: int, ctx: Context) -> Monomial:
+    # the degree-d t-spread monomial with exactly r monomials slex-above it,
+    # 0 <= r < card_veronese(d); its rank is count_t_lex_mon minus 1.  With
+    # k indices left after prev, C(x, k) monomials have the next index at
+    # least i, x = top - (i - prev - t) (the hockey-stick sums of
+    # count_t_lex_mon), so the next index is the largest i the rank reaches,
+    # found by bisecting x in O(log n) binomials
+    n, t = ctx.n, ctx.t
+    prev = 1 - t
+    out = []
+    for k in range(d, 0, -1):
+        top = n - k * (t - 1) - prev
+        total = comb(top, k)
+        x = k + bisect_left(range(k, top + 1), total - r, key=lambda y: comb(y, k))
+        r -= total - comb(x, k)
+        prev += top - x + t
+        out.append(prev)
+    return tuple(out)
 
 
 def t_next_lex(u: Sequence[int], ctx: Context) -> Monomial | None:
@@ -289,13 +314,57 @@ def t_spread_component(ideal: MonomialIdeal, upto: int | None = None) -> Iterato
         yield j, current
 
 
+def _ek_members(shapes: Mapping[tuple[int, int], int], k: int, ctx: Context) -> int:
+    # degree-k t-spread members of the t-strongly stable ideal whose minimal
+    # generators have these (degree, max index) shapes, with multiplicity:
+    # w = g v splits off its generator prefix g, and v is any t-spread
+    # (k - deg g)-subset of the n - max g - t + 1 variables from max g + t on,
+    # C(m - (e-1)(t-1), e) of them for e-subsets of m consecutive variables
+    t = ctx.t
+    return sum(
+        c * binomial(ctx.n - top - t + 1 - (k - d - 1) * (t - 1), k - d)
+        for (d, top), c in shapes.items()
+        if d <= k
+    )
+
+
 def is_t_lex_ideal(ideal: MonomialIdeal) -> bool:
     """Whether every degree slice of the ideal is an initial slex segment.
 
-    A nonempty slice is initial exactly when its size matches the size of
-    the lex set of its slex-least member, so no segment is ever built.
+    Counts decide it; no slice is built.  Call a t-spread w of degree k
+    *split* when some prefix g = w[:d] is a minimal generator (only one
+    can be: a shorter one would divide it).  The tail is any t-spread
+    (k - d)-subset from max g + t on, so the split members number the
+    Eliahou-Kervaire sum of ``_ek_members``.
+
+    *Least member.*  Componentwise the tail is at most the pad
+    (n - (k-d-1)t, ..., n - t, n), so the slex-least split member (the
+    tuple-max) is the tuple-max, over generator shapes (d, max g), of the
+    shape's tuple-max generator followed by its pad, kept when the pad
+    clears max g + t.
+
+    *Split members suffice.*  Those of degree k form an initial segment
+    exactly when they are as many as the lex set of the least one.  If they
+    do in every degree, every member w is split: a generator g dividing it
+    makes the prefix w[:deg g] Borel-above g, so slex-above it, so split,
+    and w with it; each slice is then that initial segment.  Conversely a
+    lex ideal is t-strongly stable, where every member is split (the prefix
+    lemma of ``is_t_ss_ideal``).  So no stability test is needed either.
     """
-    for _, slice_j in t_spread_component(ideal):
-        if slice_j and len(slice_j) != count_t_lex_mon(slex_min(slice_j), ideal.ctx):
+    ctx = require_t_spread_ideal(ideal).ctx
+    n, t = ctx.n, ctx.t
+    shapes = Counter((len(g), g[-1]) for g in ideal.gens)
+    # generators come in (degree, slex) order: the last of a shape is its tuple-max
+    last = {(len(g), g[-1]): g for g in ideal.gens}
+    for k in range(1, ctx.max_degree() + 1):
+        members = _ek_members(shapes, k, ctx)
+        if not members:
+            continue
+        least = max(
+            g + tuple(range(n - (k - d - 1) * t, n + 1, t))
+            for (d, top), g in last.items()
+            if d <= k and n - (k - d - 1) * t >= top + t
+        )
+        if count_t_lex_mon(least, ctx) != members:
             return False
     return True

@@ -13,13 +13,24 @@ generator prefix, and v t-spread with min v >= max g + t (the
 Eliahou-Kervaire decomposition, after Ene-Herzog-Qureshi).  So the
 ideal holds, in degree k, the sum over g of the number of t-spread
 (k - deg g)-subsets of the n - max g - t + 1 variables from max g + t on.
-That costs a binomial per generator shape and degree.  Other ideals are
-counted slice by slice through ``t_spread_component``.
+That costs a binomial per generator shape and degree
+(``construct._ek_members``).  Other ideals are counted slice by slice
+through ``t_spread_component``.
+
+Lex ideals are built from their generators alone.  Rank the degree-j
+t-spread monomials 0, 1, ... down the slex order, so that the initial
+segment of size s holds ranks [0, s).  The shadow of an initial segment is
+initial, and its complement has the shifted Macaulay bound's size (the
+bound is attained).  So if the lex ideal leaves f_j monomials of degree j
+outside, its degree-j slice is ranks [0, s_j), s_j = |degree j| - f_j, the
+previous slice's shadow is ranks [0, h_j), h_j = |degree j| - shifted
+bound of f_{j-1} (h_1 = 0), and the degree-j minimal generators are exactly
+the ranks [h_j, s_j) (*rank interval*).  ``construct._unrank`` finds rank
+h_j and the slex walk lists the interval; no segment or shadow is built.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
 from math import comb
 from typing import Iterable, Sequence
 
@@ -29,8 +40,9 @@ from .core import (
     Monomial,
     MonomialIdeal,
     TSpreadError,
+    min_mon,
 )
-from .construct import _shadow, is_t_ss_ideal, iter_veronese, t_spread_component
+from .construct import _ek_members, _unrank, _walk, is_t_ss_ideal, t_spread_component
 from .count import BinomialTerm, binomial, card_veronese
 
 
@@ -46,17 +58,10 @@ def ft_vector(ideal: MonomialIdeal) -> list[int]:
         return [1] + [card_veronese(j, ctx) - len(s) for j, s in t_spread_component(ideal)]
     # generators sharing degree and largest index contribute alike
     shapes = Counter((len(g), g[-1]) for g in ideal.gens)
-    t = ctx.t
-    f = [1]
-    for k in range(1, ctx.max_degree() + 1):
-        # t-spread e-subsets of m consecutive variables: C(m - (e-1)(t-1), e)
-        members = sum(
-            c * binomial(ctx.n - top - t + 1 - (k - d - 1) * (t - 1), k - d)
-            for (d, top), c in shapes.items()
-            if d <= k
-        )
-        f.append(card_veronese(k, ctx) - members)
-    return f
+    return [1] + [
+        card_veronese(k, ctx) - _ek_members(shapes, k, ctx)
+        for k in range(1, ctx.max_degree() + 1)
+    ]
 
 
 def t_macaulay_expansion(
@@ -117,43 +122,57 @@ def is_ft_vector(f: Sequence[int], ctx: Context) -> bool:
         if fv[d] < 0 or fv[d] > card_veronese(d, ctx):
             return False
     for d in range(1, len(fv) - 1):
-        bound = solve_binomial_expansion(t_macaulay_expansion(fv[d], d, ctx, shift=True))
-        if fv[d + 1] > bound:
+        if fv[d + 1] > _shifted_bound(fv[d], d, ctx):
             return False
     return True
+
+
+def _shifted_bound(a: int, d: int, ctx: Context) -> int:
+    # the most degree-(d+1) monomials a quotient with a of degree d can hold
+    return solve_binomial_expansion(t_macaulay_expansion(a, d, ctx, shift=True))
+
+
+def _lex_ideal(f: list[int], ctx: Context) -> MonomialIdeal:
+    # the lex ideal of an admissible f, generator by generator (the rank
+    # interval of the module docstring); degrees past f's end count zero, so
+    # one further degree closes the ideal off
+    gens: list[Monomial] = []
+    for j, x in enumerate(f + [0]):
+        if j == 0:
+            continue
+        full = card_veronese(j, ctx)
+        shadow = 0 if j == 1 else full - _shifted_bound(f[j - 1], j - 1, ctx)
+        size = full - x
+        if shadow < size:
+            first, last = _unrank(shadow, j, ctx), _unrank(size - 1, j, ctx)
+            gens += _walk(first, last, min_mon(j, ctx), ctx.t)
+    # minimal: a t-spread multiple of an earlier generator is in the shadow
+    return MonomialIdeal._of_minimal(ctx, tuple(gens))
 
 
 def t_lex_ideal_from_f(f: Sequence[int], ctx: Context) -> MonomialIdeal:
     """The lex ideal whose quotient counts are given by ``f``.
 
     The sequence describes the whole quotient: degrees past its end count
-    zero, so one further segment degree closes the ideal off.  Degree j of
-    the ideal is the initial slex segment leaving exactly f_j monomials
-    outside; generators are the segment members not produced by the previous
-    degree's shadow.
+    zero.  Degree j of the ideal is the initial slex segment leaving exactly
+    f_j monomials outside; its generators are the members past the previous
+    degree's shadow, a rank interval walked without building the segment.
     """
     fv = [int(x) for x in f]
     if not is_ft_vector(fv, ctx):
         raise InvalidFtVectorError("expected a valid ft-vector")
-    fv.append(0)  # quotient counts vanish beyond the given degrees
-    gens: list[Monomial] = []
-    prev: list[Monomial] = []
-    for j in range(1, len(fv)):
-        size = card_veronese(j, ctx) - fv[j]
-        segment = list(islice(iter_veronese(j, ctx), size))
-        shadow = {w for m in prev for w in _shadow(m, ctx)}
-        if not shadow.issubset(segment):
-            # cannot happen for admissible f: shadows of initial segments are
-            # initial and the growth bound caps their size
-            raise InvalidFtVectorError(
-                f"degree {j} slice cannot contain the previous shadow"
-            )
-        gens += [w for w in segment if w not in shadow]
-        prev = segment
-    # minimal: a t-spread multiple of an earlier generator is in the shadow
-    return MonomialIdeal._of_minimal(ctx, tuple(gens))
+    return _lex_ideal(fv, ctx)
 
 
 def t_lex_ideal_of(ideal: MonomialIdeal) -> MonomialIdeal:
-    """The lex ideal sharing the ideal's quotient count vector."""
-    return t_lex_ideal_from_f(ft_vector(ideal), ideal.ctx)
+    """The lex ideal sharing the ideal's quotient count vector.
+
+    Raises InvalidFtVectorError, naming the counts, when no lex ideal has
+    them; only an ideal that is not strongly stable can have such counts.
+    """
+    f = ft_vector(ideal)
+    if not is_ft_vector(f, ideal.ctx):
+        raise InvalidFtVectorError(
+            f"the ideal's quotient counts {f} break the growth bound: no lex ideal has them"
+        )
+    return _lex_ideal(f, ideal.ctx)

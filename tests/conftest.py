@@ -1,11 +1,13 @@
 """Shared fixture data: worked examples used across the test modules."""
 
+import time
 from functools import lru_cache
 from itertools import chain, combinations
 
 import pytest
 from hypothesis import strategies as st
 
+from tspread.construct import t_ss_ideal
 from tspread.core import Context, MonomialIdeal, minimalize
 from tspread.oracle import enumerate_veronese, oracle_ss_closure
 
@@ -46,6 +48,11 @@ KK_LEX_GENS = (
     (1, 4, 8), (1, 5, 7), (1, 5, 8), (1, 6, 8), (2, 4, 6, 8),
 )
 KK_FT = [1, 8, 21, 10, 0]
+
+# Three 2-spread generators over 40 variables whose strongly stable closure
+# walks 258 985 monomials and keeps 129 913 minimal generators.
+CLOSURE_40_CTX = Context(40, 2)
+CLOSURE_40_GENS = ((5, 12, 20, 30, 38), (3, 9, 18, 27), (7, 15, 25, 33, 40))
 
 
 def realize_ideal() -> MonomialIdeal:
@@ -134,3 +141,11 @@ def minimal_builds(monkeypatch):
 
     monkeypatch.setattr(MonomialIdeal, "_of_minimal", classmethod(checked))
     return built
+
+
+@pytest.fixture(scope="session")
+def closure_40():
+    """The n = 40, t = 2 closure, built once per run, and its build time in seconds."""
+    start = time.perf_counter()
+    closed = t_ss_ideal(MonomialIdeal(CLOSURE_40_CTX, CLOSURE_40_GENS))
+    return closed, time.perf_counter() - start

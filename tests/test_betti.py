@@ -1,9 +1,13 @@
+import time
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    CLOSURE_40_CTX,
     CLOSURE_RINGS,
     REALIZE_BASICS,
     REALIZE_CORNERS,
@@ -15,6 +19,7 @@ from conftest import (
     small_ideals,
     spread_ideals,
 )
+from tspread import betti
 from tspread.betti import (
     BettiTable,
     CornerConfig,
@@ -184,6 +189,56 @@ def test_invariants_exactly_on_strongly_stable_ideals(n, t):
                 graded_betti(ideal)
             with pytest.raises(NotStronglyStableError):
                 extremal_corners(ideal)
+
+
+def oracle_k_polynomial(ideal):
+    """Coefficients of the K-polynomial of S/I, by enumeration.
+
+    I is squarefree, so S/I is the Stanley-Reisner ring of the complex of
+    supports outside I, and its K-polynomial is the sum over those faces F
+    of z^|F| (1 - z)^(n - |F|).
+    """
+    n = ideal.ctx.n
+    faces = Counter(
+        s
+        for s in range(n + 1)
+        for F in combinations(range(1, n + 1), s)
+        if not any(set(g) <= set(F) for g in ideal.gens)
+    )
+    return [
+        sum(c * comb(n - s, m - s) * (-1) ** (m - s) for s, c in faces.items() if s <= m)
+        for m in range(n + 1)
+    ]
+
+
+@pytest.mark.parametrize("n,t", CLOSURE_RINGS)
+def test_betti_table_matches_oracle(n, t):
+    for ideal in small_closures(n, t):
+        table = graded_betti(ideal)
+        # the generator-by-generator rows it groups by shape
+        rows = Counter()
+        for u in ideal.gens:
+            reach = u[-1] - t * (len(u) - 1) - 1
+            rows.update({(i, len(u)): comb(reach, i) for i in range(reach + 1)})
+        assert table == BettiTable(dict(rows)), ideal.gens
+        # the alternating sums along each total degree i + j, against the oracle
+        k_poly = [1] + [0] * n
+        for (i, j), v in table.entries.items():
+            k_poly[i + j] += (-1) ** (i + 1) * v
+        assert k_poly == oracle_k_polynomial(ideal), ideal.gens
+
+
+def test_large_closure_betti_is_fast(closure_40, monkeypatch):
+    closed, _ = closure_40
+    rows = []
+    monkeypatch.setattr(betti, "comb", lambda n, k: rows.append((n, k)) or comb(n, k))
+    start = time.perf_counter()
+    table = graded_betti(closed)
+    assert time.perf_counter() - start < 10.0
+    assert table.total(0) == 129913
+    # one binomial row per (degree, max index) shape, not per generator
+    shapes = {(len(g), g[-1]) for g in closed.gens}
+    assert len(rows) == sum(top - 2 * (d - 1) for d, top in shapes) < CLOSURE_40_CTX.n * len(shapes)
 
 
 def realization_matches_oracle(ideal):

@@ -21,6 +21,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# C(20000, 4000), 4345 digits: past the 4300 that CPython (3.11 on) turns
+# into text by default
+HUGE_COUNT = ["count-lex", "--n", "20000", "--t", "1", ",".join(map(str, range(16001, 20001)))]
+
+
+def decimal_text(value):
+    """``str(value)`` whatever the interpreter's digit limit."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        return str(value)
+    finally:
+        set_limit(saved)
+
+
 def write_ideal(path, gens):
     path.write_text("".join(",".join(map(str, g)) + "\n" for g in gens))
     return str(path)
@@ -78,6 +94,12 @@ class TestSubcommands:
     def test_count_lex(self, capsys):
         code, out, _ = run(capsys, "count-lex", "--n", "11", "--t", "3", "2,6,10")
         assert code == 0 and out.strip() == "21"
+
+    def test_count_past_the_digit_limit(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert run(capsys, *HUGE_COUNT) == (0, decimal_text(comb(20000, 4000)) + "\n", "")
+        # lifted for the run only
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_ss_seg(self, capsys):
         code, out, _ = run(capsys, "ss-seg", "--n", "9", "--t", "2", "1,5,7", "2,5,8")
@@ -476,3 +498,7 @@ def assert_exit_contract(argv, stdin):
 @given(data=st.data())
 def test_exit_code_contract(ideal_sources, name, data):
     assert_exit_contract(*data.draw(invocations(name, ideal_sources)))
+
+
+def test_exit_code_contract_past_the_digit_limit():
+    assert_exit_contract(HUGE_COUNT, "")

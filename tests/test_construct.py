@@ -1,4 +1,5 @@
-import time
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from tspread.core import (
 )
 from tspread.construct import (
     is_t_lex_ideal,
+    iter_veronese,
     is_t_lex_seg,
     is_t_ss_ideal,
     is_t_ss_seg,
@@ -286,6 +288,14 @@ def test_walks_and_shadow_match_oracle_in_order(n, t):
 
 
 @pytest.mark.parametrize("n,t", GRID)
+def test_unrank_lists_the_slex_order(n, t):
+    ctx = Context(n, t)
+    for d in range(ctx.max_degree() + 1):
+        for r, w in enumerate(iter_veronese(d, ctx)):
+            assert construct._unrank(r, d, ctx) == w, (r, d)
+
+
+@pytest.mark.parametrize("n,t", GRID)
 def test_is_t_lex_seg_on_every_interval(n, t):
     ctx = Context(n, t)
     for d in range(ctx.max_degree() + 1):
@@ -330,6 +340,21 @@ def test_strongly_stable_ideals_match_oracle(n, t):
         want = tuple(minimalize(closure))
         assert is_t_ss_ideal(ideal) == (want == ideal.gens), ideal.gens
         assert t_ss_ideal(ideal).gens == want, ideal.gens
+
+
+@pytest.mark.parametrize("n,t", IDEAL_RINGS)
+def test_is_t_lex_ideal_matches_oracle_slices(n, t):
+    ctx = Context(n, t)
+    slices = [enumerate_veronese(k, ctx) for k in range(1, ctx.max_degree() + 1)]
+    # bit r of multiples[m][k - 1]: the rank-r monomial of degree k is a multiple of m
+    multiples = {
+        m: [sum(1 << r for r, w in enumerate(s) if set(m) <= set(w)) for s in slices]
+        for m in spread_monomials(n, t)
+    }
+    for ideal, _ in small_ideals(n, t):
+        members = [reduce(or_, (multiples[g][k] for g in ideal.gens)) for k in range(len(slices))]
+        # a slice is initial when its members hold the lowest ranks, x + 1 a power of 2
+        assert is_t_lex_ideal(ideal) == all(x & (x + 1) == 0 for x in members), ideal.gens
 
 
 @pytest.mark.parametrize("n,t", CLOSURE_RINGS)
@@ -396,13 +421,10 @@ def test_strongly_stable_ideals_need_no_scan(monkeypatch):
     assert len(t_veronese_ideal(3, ideal.ctx).gens) == 1330  # C(21, 3)
 
 
-def test_large_closure_is_fast():
+def test_large_closure_is_fast(closure_40):
     # 258 985 monomials visited, 129 913 minimal generators
-    ctx = Context(40, 2)
-    start = time.perf_counter()
-    gens = ((5, 12, 20, 30, 38), (3, 9, 18, 27), (7, 15, 25, 33, 40))
-    closed = t_ss_ideal(MonomialIdeal(ctx, gens))
-    assert time.perf_counter() - start < 10.0
+    closed, seconds = closure_40
+    assert seconds < 10.0
     assert len(closed.gens) == 129913
     assert closed.gens[0] == (1, 3, 5, 7) and closed.gens[-1] == (7, 15, 25, 33, 40)
     assert is_t_ss_ideal(closed)

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -24,6 +25,7 @@ from tspread.core import (
     minimalize,
 )
 from tspread.count import card_veronese
+from tspread.oracle import enumerate_veronese
 from tspread.kk import (
     ft_vector,
     is_ft_vector,
@@ -73,6 +75,57 @@ def test_ft_vector_counts_match_slices_hypothesis(ideal):
     assert ft_vector(ideal) == component_ft(ideal)
     lex = t_lex_ideal_of(closed)
     assert lex.gens == tuple(minimalize(lex.gens)) and is_t_ss_ideal(lex)
+
+
+def oracle_lex_gens(f, ctx):
+    """Minimal generators of the lex ideal of f, from the oracle's initial segments."""
+    gens = []
+    for j, x in enumerate(list(f) + [0]):
+        if j:
+            segment = enumerate_veronese(j, ctx)[: card_veronese(j, ctx) - x]
+            gens += [w for w in segment if not any(set(g) <= set(w) for g in gens)]
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("n,t", CLOSURE_RINGS)
+def test_lex_ideal_matches_oracle_segments(n, t, minimal_builds):
+    for ideal in small_closures(n, t):
+        f = ft_vector(ideal)
+        want = oracle_lex_gens(f, ideal.ctx)
+        assert t_lex_ideal_from_f(f, ideal.ctx).gens == want, ideal.gens
+        assert t_lex_ideal_of(ideal).gens == want, ideal.gens
+    assert minimal_builds
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(ideal=spread_ideals(n_max=11))
+def test_lex_ideal_matches_oracle_segments_hypothesis(ideal):
+    f = ft_vector(t_ss_ideal(ideal))
+    assert t_lex_ideal_from_f(f, ideal.ctx).gens == oracle_lex_gens(f, ideal.ctx)
+
+
+def test_lex_ideal_of_is_fast_at_n30():
+    # 2 453 closure generators; every segment together holds 3.6e7 monomials
+    closed = t_ss_ideal(MonomialIdeal(Context(30, 2), ((3, 9, 18), (5, 12, 20, 27))))
+    start = time.perf_counter()
+    lex = t_lex_ideal_of(closed)
+    assert time.perf_counter() - start < 1.0
+    assert len(lex.gens) == 37018
+    assert ft_vector(lex) == ft_vector(closed) and is_t_lex_ideal(lex)
+
+
+def test_lex_ideal_of_is_fast_at_n40(closure_40):
+    closed, _ = closure_40
+    start = time.perf_counter()
+    lex = t_lex_ideal_of(closed)
+    assert time.perf_counter() - start < 10.0
+    assert len(lex.gens) == 1221531
+    assert Counter(map(len, lex.gens)) == {
+        4: 2457, 5: 148608, 6: 178678, 7: 242640, 8: 297086, 9: 203453,
+        10: 105463, 11: 36734, 12: 5925, 13: 478, 14: 9,
+    }
+    assert lex.gens[0] == (1, 3, 5, 7)
+    assert lex.gens[-1] == (7, 15, 17, 19, 21, 23, 25, 27, 30, 32, 34, 36, 38, 40)
 
 
 class TestMacaulayExpansion:
@@ -209,6 +262,13 @@ class TestLexIdealOf:
 
     def test_zero_ideal(self):
         assert t_lex_ideal_of(MonomialIdeal(KK_CTX)).is_zero
+
+    def test_inadmissible_counts_are_named(self):
+        # eight variables outside leave room for at most C(7, 2) = 21
+        # 2-spread pairs outside, not 22
+        ideal = MonomialIdeal(Context(9, 2), ((5,),))
+        with pytest.raises(InvalidFtVectorError, match=r"quotient counts \[1, 8, 22, 24, 9, 0\]"):
+            t_lex_ideal_of(ideal)
 
     def test_inadmissible_counts_propagate(self):
         # a lone middle variable spreads more slowly than any lex segment
