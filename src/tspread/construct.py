@@ -315,11 +315,12 @@ def t_spread_component(ideal: MonomialIdeal, upto: int | None = None) -> Iterato
 
 
 def _ek_members(shapes: Mapping[tuple[int, int], int], k: int, ctx: Context) -> int:
-    # degree-k t-spread members of the t-strongly stable ideal whose minimal
-    # generators have these (degree, max index) shapes, with multiplicity:
-    # w = g v splits off its generator prefix g, and v is any t-spread
-    # (k - deg g)-subset of the n - max g - t + 1 variables from max g + t on,
-    # C(m - (e-1)(t-1), e) of them for e-subsets of m consecutive variables
+    # degree-k t-spread monomials with a minimal generator as a prefix (in a
+    # t-strongly stable ideal, every member), given the generators'
+    # (degree, max index) shapes with multiplicity: w = g v splits off its
+    # generator prefix g, and v is any t-spread (k - deg g)-subset of the
+    # n - max g - t + 1 variables from max g + t on, C(m - (e-1)(t-1), e)
+    # of them for e-subsets of m consecutive variables
     t = ctx.t
     return sum(
         c * binomial(ctx.n - top - t + 1 - (k - d - 1) * (t - 1), k - d)

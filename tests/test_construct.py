@@ -28,11 +28,11 @@ from tspread.core import (
 )
 from tspread.construct import (
     is_t_lex_ideal,
-    iter_veronese,
     is_t_lex_seg,
     is_t_ss_ideal,
     is_t_ss_seg,
     is_t_ss_set,
+    iter_veronese,
     t_lex_mon,
     t_lex_seg,
     t_next_lex,

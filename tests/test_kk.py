@@ -25,7 +25,6 @@ from tspread.core import (
     minimalize,
 )
 from tspread.count import card_veronese
-from tspread.oracle import enumerate_veronese
 from tspread.kk import (
     ft_vector,
     is_ft_vector,
@@ -34,6 +33,7 @@ from tspread.kk import (
     t_lex_ideal_of,
     t_macaulay_expansion,
 )
+from tspread.oracle import enumerate_veronese
 
 
 class TestFtVector:
@@ -105,7 +105,7 @@ def test_lex_ideal_matches_oracle_segments_hypothesis(ideal):
 
 
 def test_lex_ideal_of_is_fast_at_n30():
-    # 2 453 closure generators; every segment together holds 3.6e7 monomials
+    # 2 453 closure generators; the lex segments hold 1 941 131 monomials
     closed = t_ss_ideal(MonomialIdeal(Context(30, 2), ((3, 9, 18), (5, 12, 20, 27))))
     start = time.perf_counter()
     lex = t_lex_ideal_of(closed)
