@@ -19,12 +19,12 @@ prefixes is a generator.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     Context,
+    Frozen,
     InfeasibleCornersError,
     Monomial,
     MonomialIdeal,
@@ -34,20 +34,22 @@ from .core import (
 from .construct import _has_prefix_in, is_t_ss_ideal, iter_veronese, t_ss_set
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Frozen):
     """Finitely supported table of graded Betti numbers.
 
     Keys are pairs (homological index i, generator degree j) for the entry
     counting degree i+j syzygies; zero entries are not stored.
     """
 
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ("entries",)
+    entries: dict[tuple[int, int], int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", {k: v for k, v in self.entries.items() if v}
-        )
+    def __init__(self, entries: Mapping[tuple[int, int], int] | None = None) -> None:
+        entries = {} if entries is None else entries
+        object.__setattr__(self, "entries", {k: v for k, v in entries.items() if v})
+
+    def _key(self) -> tuple:
+        return (self.entries,)  # a dict: tables compare equal but do not hash
 
     def entry(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -100,8 +102,7 @@ class BettiTable:
         return cls(entries)
 
 
-@dataclass(frozen=True)
-class CornerConfig:
+class CornerConfig(Frozen):
     """Extremal corner positions (k, degree) with their prescribed values.
 
     Corners are listed with strictly decreasing homological positions and
@@ -109,12 +110,13 @@ class CornerConfig:
     staircase of the table.
     """
 
+    __slots__ = ("corners", "values")
     corners: tuple[tuple[int, int], ...]
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        corners = tuple((int(k), int(l)) for k, l in self.corners)
-        values = tuple(int(a) for a in self.values)
+    def __init__(self, corners: Iterable[tuple[int, int]], values: Iterable[int]) -> None:
+        corners = tuple((int(k), int(l)) for k, l in corners)
+        values = tuple(int(a) for a in values)
         object.__setattr__(self, "corners", corners)
         object.__setattr__(self, "values", values)
         if len(corners) != len(values):
@@ -129,6 +131,9 @@ class CornerConfig:
             raise TSpreadError("homological positions must strictly decrease")
         if any(a >= b for a, b in zip(ls, ls[1:])):
             raise TSpreadError("corner degrees must strictly increase")
+
+    def _key(self) -> tuple:
+        return (self.corners, self.values)
 
 
 def _require_strongly_stable(ideal: MonomialIdeal) -> MonomialIdeal:

@@ -11,7 +11,6 @@ shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 Monomial = tuple[int, ...]
@@ -50,22 +49,70 @@ class InfeasibleCornersError(TSpreadError):
     """No strongly stable ideal realizes the requested corners and values."""
 
 
-@dataclass(frozen=True)
-class Context:
+class Frozen:
+    """Base of the immutable value classes: fields fixed once built.
+
+    A subclass names its fields in ``__slots__``, sets them in ``__init__``
+    through ``object.__setattr__`` and returns their values, in slot order,
+    from ``_key``.  Equality, hashing, ``repr``, pickling and copying all go
+    through ``_key``, so they agree with each other: two values are equal
+    exactly when they have the same class and the same fields.  (Frozen
+    dataclasses would get the same methods, but ``dataclasses`` brings
+    ``inspect``, ``ast`` and ``dis`` into every process importing this
+    package, the command line's included.)
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # Slots have no ``__dict__`` to restore, and unpickling would otherwise
+    # set them through the raising ``__setattr__``.
+    def __getstate__(self) -> tuple:
+        return self._key()
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class Context(Frozen):
     """Ambient parameters: ``n`` variables and spread ``t``, both at least 1.
 
     A spread of 0 would make repeated indices legal and change the data
     model, so it is rejected outright.
     """
 
+    __slots__ = ("n", "t")
     n: int
     t: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise TSpreadError(f"need at least one variable, got n={self.n}")
-        if self.t < 1:
-            raise TSpreadError(f"spread must be positive, got t={self.t}")
+    def __init__(self, n: int, t: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
+        if n < 1:
+            raise TSpreadError(f"need at least one variable, got n={n}")
+        if t < 1:
+            raise TSpreadError(f"spread must be positive, got t={t}")
+
+    def _key(self) -> tuple:
+        return (self.n, self.t)
 
     def max_degree(self) -> int:
         """Largest degree d with 1 + (d-1)t <= n, i.e. with any t-spread monomial."""
@@ -201,8 +248,7 @@ def exchange_moves(u: Monomial, ctx: Context) -> Iterator[Monomial]:
                 yield w
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Frozen):
     """A monomial ideal held by its unique minimal generating set.
 
     Generators are canonicalized on construction: validated against the
@@ -211,17 +257,22 @@ class MonomialIdeal:
     here is proper.
     """
 
+    __slots__ = ("ctx", "gens")
     ctx: Context
-    gens: tuple[Monomial, ...] = ()
+    gens: tuple[Monomial, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, ctx: Context, gens: Iterable[Sequence[int]] = ()) -> None:
+        object.__setattr__(self, "ctx", ctx)
         canon = []
-        for g in self.gens:
-            m = validate_monomial(g, self.ctx)
+        for g in gens:
+            m = validate_monomial(g, ctx)
             if not m:
                 raise TSpreadError("the unit monomial cannot generate a proper ideal")
             canon.append(m)
         object.__setattr__(self, "gens", tuple(minimalize(canon)))
+
+    def _key(self) -> tuple:
+        return (self.ctx, self.gens)
 
     @classmethod
     def _of_minimal(cls, ctx: Context, gens: tuple[Monomial, ...]) -> MonomialIdeal:
@@ -250,7 +301,14 @@ class MonomialIdeal:
 
 
 def is_t_spread_ideal(ideal: MonomialIdeal) -> bool:
-    return all(_gaps_at_least(g, ideal.ctx.t) for g in ideal.gens)
+    # ``_gaps_at_least`` per generator, inlined: on ideals of a million
+    # generators the generator expression over ``zip`` costs twice as much
+    t = ideal.ctx.t
+    for g in ideal.gens:
+        for i in range(len(g) - 1):
+            if g[i + 1] - g[i] < t:
+                return False
+    return True
 
 
 def require_t_spread_ideal(ideal: MonomialIdeal) -> MonomialIdeal:

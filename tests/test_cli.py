@@ -1,17 +1,30 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import KK_FT, KK_IDEAL_GENS, KK_LEX_GENS, REALIZE_GENERATORS
+import tspread
 from tspread import core, count
-from tspread.cli import COMMANDS, FORCE_LIMIT, _closure_size, _slices_size, main, parse_monomial
+from tspread.cli import (
+    COMMANDS,
+    FORCE_LIMIT,
+    _build_parser,
+    _closure_size,
+    _parse,
+    _slices_size,
+    main,
+    parse_monomial,
+)
 from tspread.core import Context, MonomialIdeal
 
 
@@ -493,12 +506,90 @@ def assert_exit_contract(argv, stdin):
         sys.stdin = saved
 
 
+def parse_outcome(parse, argv):
+    """(namespace or exit status, stdout, stderr) of parsing ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_same_parse(argv):
+    """Parsing with the invoked command's parser alone changes nothing."""
+    full = parse_outcome(lambda a: _build_parser().parse_args(a), argv)
+    assert parse_outcome(_parse, argv) == full, argv
+
+
+# Arguments no command takes, or a second value where one is taken, and help.
+EXTRA_ARGS = ["extra", "1,3", "--bogus", "--bogus=1", "-x", "--n", "--", "-h", "--format=json"]
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_exit_code_contract(ideal_sources, name, data):
-    assert_exit_contract(*data.draw(invocations(name, ideal_sources)))
+    argv, stdin = data.draw(invocations(name, ideal_sources))
+    assert_exit_contract(argv, stdin)
+    assert_same_parse(argv)
+    assert_same_parse(argv + data.draw(st.lists(st.sampled_from(EXTRA_ARGS), min_size=1, max_size=2)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["--help"], ["count"], ["nope", "--n", "3"], ["--n", "3", "count-ss"],
+     *([name, "-h"] for name in sorted(COMMANDS))],
+)
+def test_parse_outside_one_command(argv):
+    assert_same_parse(argv)
+
+
+def test_usage_errors_after_parsing_show_full_usage(capsys):
+    # the ring check and the converters report through the full parser
+    usage = _build_parser().format_usage()
+    for argv, message in [
+        (["count-ss", "2,5,8,11"], "count-ss requires --n and --t"),
+        (["count-ss", "--n", "0", "--t", "1", "1"], "need at least one variable, got n=0"),
+        (["is-ft", "--n", "5", "--t", "1", "a,b"],
+         "bad vector 'a,b': invalid literal for int() with base 10: 'a'"),
+    ]:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr() == ("", f"{usage}tspread: error: {message}\n")
 
 
 def test_exit_code_contract_past_the_digit_limit():
     assert_exit_contract(HUGE_COUNT, "")
+
+
+# Import budget: what a ``tspread`` process loads before it parses anything.
+# ``-S`` keeps ``site`` (and whatever its ``.pth`` files import) out, so the
+# modules counted are the package's own doing.
+HEAVY_MODULES = ("dataclasses", "inspect", "json")
+
+
+def python_without_site(code):
+    """Stdout of ``code`` run by a fresh interpreter that skips ``site``."""
+    root = str(Path(tspread.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": root}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
+@pytest.mark.parametrize("module", ["tspread", "tspread.cli"])
+def test_import_leaves_heavy_modules_out(module):
+    code = f"import sys, {module}; print(','.join(m for m in {HEAVY_MODULES} if m in sys.modules))"
+    assert python_without_site(code) == "\n"
+
+
+def test_json_output_in_a_fresh_process():
+    code = (
+        "from tspread.cli import main; "
+        "main(['count-ss', '--n', '9', '--t', '2', '2,5,8', '--format', 'json', '--oracle'])"
+    )
+    assert python_without_site(code) == '{"result": 14, "oracle_agrees": true}\n'

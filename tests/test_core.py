@@ -1,10 +1,17 @@
+import copy
+import pickle
+from itertools import chain
+
 import pytest
 
+from conftest import IDEAL_RINGS, spread_monomials
+from tspread.betti import BettiTable, CornerConfig
 from tspread.core import (
     Context,
     EmptyVeroneseError,
     MonomialIdeal,
     TSpreadError,
+    _gaps_at_least,
     borel_geq,
     cmp_slex,
     is_t_spread,
@@ -172,3 +179,123 @@ class TestMonomialIdeal:
     def test_t_spread_check(self):
         assert is_t_spread_ideal(MonomialIdeal(Context(8, 2), ((1, 3),)))
         assert not is_t_spread_ideal(MonomialIdeal(Context(8, 2), ((1, 2),)))
+
+
+# The immutable value classes: how they are built, compared, hashed, shown,
+# pickled and copied, and that their fields cannot change.  Each row is the
+# class, positional and keyword arguments building the same value, its repr
+# and arguments building a different value.
+VALUE_CLASSES = [
+    (Context, (8, 2), {"n": 8, "t": 2}, "Context(n=8, t=2)", (8, 3)),
+    (
+        MonomialIdeal,
+        (Context(8, 2), [(1, 4, 6), (1, 3), (1, 3, 5)]),
+        {"ctx": Context(8, 2), "gens": ((1, 3), (1, 4, 6))},
+        "MonomialIdeal(ctx=Context(n=8, t=2), gens=((1, 3), (1, 4, 6)))",
+        (Context(9, 2), ((1, 3), (1, 4, 6))),
+    ),
+    (
+        BettiTable,
+        ({(0, 2): 3, (1, 2): 0, (1, 3): 2},),
+        {"entries": {(0, 2): 3, (1, 3): 2}},
+        "BettiTable(entries={(0, 2): 3, (1, 3): 2})",
+        ({(0, 2): 3},),
+    ),
+    (
+        CornerConfig,
+        ([[2, 2], [1, 3]], [1, 2]),
+        {"corners": ((2, 2), (1, 3)), "values": (1, 2)},
+        "CornerConfig(corners=((2, 2), (1, 3)), values=(1, 2))",
+        (((2, 2),), (1,)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, text, other", VALUE_CLASSES, ids=[row[0].__name__ for row in VALUE_CLASSES]
+)
+class TestValueClasses:
+    def test_positional_and_keyword_construction(self, cls, args, kwargs, text, other):
+        assert cls(*args) == cls(**kwargs)
+        assert repr(cls(*args)) == repr(cls(**kwargs)) == text
+
+    def test_equality_and_hash(self, cls, args, kwargs, text, other):
+        value = cls(*args)
+        assert value == cls(*args) and not value != cls(*args)
+        assert value != cls(*other)
+        assert value != args and value.__eq__(args) is NotImplemented
+        if cls is BettiTable:  # its entries are a dict
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(cls(**kwargs))
+            assert len({value, cls(*args), cls(*other)}) == 2
+
+    def test_fields_cannot_change(self, cls, args, kwargs, text, other):
+        value = cls(*args)
+        for name in [*kwargs, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        for name in kwargs:
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == text
+
+    def test_pickle_and_copy(self, cls, args, kwargs, text, other):
+        value = cls(*args)
+        copies = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(value), copy.deepcopy(value)]
+        for c in copies:
+            assert type(c) is cls and c == value and repr(c) == text
+            with pytest.raises(AttributeError):
+                setattr(c, next(iter(kwargs)), None)
+
+
+class TestValueValidation:
+    def test_context(self):
+        with pytest.raises(TSpreadError, match=r"^need at least one variable, got n=0$"):
+            Context(0, 1)
+        with pytest.raises(TSpreadError, match=r"^spread must be positive, got t=0$"):
+            Context(5, 0)
+
+    def test_monomial_ideal(self):
+        ctx = Context(6, 1)
+        assert MonomialIdeal(ctx).gens == () == MonomialIdeal(ctx, []).gens
+        with pytest.raises(TSpreadError, match=r"^the unit monomial cannot generate"):
+            MonomialIdeal(ctx, [(1, 2), ()])
+        with pytest.raises(TSpreadError, match=r"^support must be strictly increasing"):
+            MonomialIdeal(ctx, [(2, 1)])
+        with pytest.raises(TSpreadError, match=r"^indices of \(1, 7\) fall outside \[1, 6\]$"):
+            MonomialIdeal(ctx, [(1, 7)])
+        built = MonomialIdeal(ctx, [(1, 3)])
+        assert MonomialIdeal._of_minimal(ctx, ((1, 3),)) == built
+
+    def test_betti_table(self):
+        assert BettiTable().entries == {} == BettiTable({(0, 1): 0}).entries
+        assert BettiTable() == BettiTable({})
+
+    @pytest.mark.parametrize(
+        "corners, values, message",
+        [
+            (((1, 2),), (1, 1), "one value is needed per corner"),
+            (((1, 2),), (0,), "corner values must be positive"),
+            (((-1, 2),), (1,), "corner positions must satisfy k >= 0, degree >= 1"),
+            (((3, 2), (4, 3)), (1, 1), "homological positions must strictly decrease"),
+            (((4, 3), (3, 2)), (1, 1), "corner degrees must strictly increase"),
+        ],
+    )
+    def test_corner_config(self, corners, values, message):
+        with pytest.raises(TSpreadError, match=f"^{message}$"):
+            CornerConfig(corners, values)
+        with pytest.raises(ValueError):
+            CornerConfig((("a", 2),), (1,))
+
+
+@pytest.mark.parametrize("n,t", IDEAL_RINGS)
+def test_t_spread_ideal_matches_gap_test(n, t):
+    # every squarefree monomial of the ring alone, and beside the one before it
+    ctx = Context(n, t)
+    ms = spread_monomials(n, 1)
+    for gens in chain(((m,) for m in ms), zip(ms, ms[1:])):
+        ideal = MonomialIdeal(ctx, gens)
+        assert is_t_spread_ideal(ideal) == all(_gaps_at_least(g, t) for g in ideal.gens), gens
