@@ -175,7 +175,10 @@ def extremal_corners(ideal: MonomialIdeal) -> CornerConfig:
     degree, so a right-to-left scan keeping the running maximum finds all
     corners without touching the Betti table.
     """
-    _require_strongly_stable(ideal)
+    return _corners(_require_strongly_stable(ideal))
+
+
+def _corners(ideal: MonomialIdeal) -> CornerConfig:
     kept: list[tuple[int, int]] = []
     best = -1
     for d, _, k in reversed(degree_sequence(ideal)):
@@ -245,7 +248,7 @@ def realize_extremal_betti(
         gens += fresh
         gen_set.update(fresh)
     running = MonomialIdeal._of_minimal(ctx, tuple(gens))
-    detected = extremal_corners(running)
+    detected = _corners(running)
     if detected != config:
         raise InfeasibleCornersError(
             f"configuration not realizable: construction yields corners "

@@ -310,65 +310,46 @@ COMMON = (
 )
 
 
-def _add_arguments(parser: argparse.ArgumentParser, row: Command) -> argparse.ArgumentParser:
-    for arg in COMMON + row.args:
-        parser.add_argument(arg.name, **arg.options)
-    return parser
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command by name, those named in it in full.
 
-
-def _build_parser() -> argparse.ArgumentParser:
+    Top-level usage, help and the unknown-command error need only each
+    command's name and help line, and the top level takes no option but
+    ``-h``, so the command argparse dispatches to is an element of ``argv``.
+    Declaring the other commands' arguments would only cost start-up time.
+    """
     parser = argparse.ArgumentParser(
         prog="tspread",
         description="construction and counting for t-spread monomials and ideals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = set(argv)
     for name, row in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=row.help), row)
+        full = name in named
+        command = sub.add_parser(name, help=row.help, add_help=full)
+        for arg in (COMMON + row.args) if full else ():
+            command.add_argument(arg.name, **arg.options)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """What ``_build_parser().parse_args(argv)`` returns, usually without it.
-
-    Building all the commands' parsers takes longer than most commands run,
-    so a call naming a known command is parsed by that command's parser
-    alone: the one the full parser would hand the rest of ``argv`` to, under
-    the same ``prog``, so with the same namespace, help and errors.  Left
-    over arguments are the full parser's error, printed with its usage, so
-    they go to the full parser, as do ``-h``, no arguments and unknown
-    commands.
-    """
-    row = COMMANDS.get(argv[0]) if argv else None
-    if row is not None:
-        parser = _add_arguments(argparse.ArgumentParser(prog=f"tspread {argv[0]}"), row)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
-
-
-def _fail(message: str) -> NoReturn:
-    """A usage error after parsing: the full parser's usage, exit status 2."""
-    _build_parser().error(message)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
+    args = parser.parse_args(argv)
     row = COMMANDS[args.command]
     if row.ring and (args.n is None or args.t is None):
-        _fail(f"{args.command} requires --n and --t")
+        parser.error(f"{args.command} requires --n and --t")
     try:
         ctx = Context(args.n, args.t) if row.ring else None
     except TSpreadError as exc:
-        _fail(str(exc))
+        parser.error(str(exc))
     values = []
     for arg in row.args:
         raw = getattr(args, arg.name.lstrip("-"))
         if arg.unless is not None and getattr(args, arg.unless) is not None:
             raw = None
         elif arg.convert is not None and raw is not None:
-            raw = arg.convert(raw, ctx, _fail)
+            raw = arg.convert(raw, ctx, parser.error)
         values.append(raw)
     # results are exact integers of any size, but CPython (3.11 on) turns at
     # most 4300 digits into text unless told otherwise; inputs are parsed by then

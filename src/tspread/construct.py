@@ -294,20 +294,19 @@ def t_ss_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._of_minimal(ctx, tuple(sorted(gens, key=lambda g: (len(g), g))))
 
 
-def t_spread_component(ideal: MonomialIdeal, upto: int | None = None) -> Iterator[tuple[int, list[Monomial]]]:
+def t_spread_component(ideal: MonomialIdeal) -> Iterator[tuple[int, list[Monomial]]]:
     """Degree-by-degree t-spread slices of the ideal, accumulated by shadows.
 
-    Yields ``(j, sorted slice)`` for j = 1, ..., ``upto`` (ambient maximal
-    degree when omitted).  The degree-j slice is the shadow of the previous
+    Yields ``(j, sorted slice)`` for j = 1 up to the ambient maximal degree
+    ``ctx.max_degree()``.  The degree-j slice is the shadow of the previous
     one joined with the degree-j generators; peeling the largest index not in
     a witness generator shows every t-spread member of the ideal arises this
     way.  Raises NotTSpreadError, on the first step, unless the ideal is
     t-spread.
     """
     ctx = require_t_spread_ideal(ideal).ctx
-    last = ctx.max_degree() if upto is None else upto
     current: list[Monomial] = []
-    for j in range(1, last + 1):
+    for j in range(1, ctx.max_degree() + 1):
         grown = {w for m in current for w in _shadow(m, ctx)}
         grown.update(ideal.gens_of_degree(j))
         current = sorted(grown)

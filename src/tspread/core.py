@@ -11,6 +11,8 @@ shared freely across threads.
 """
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 Monomial = tuple[int, ...]
@@ -215,19 +217,26 @@ def min_mon(d: int, ctx: Context) -> Monomial:
 
 
 def minimalize(gens: Iterable[Sequence[int]]) -> list[Monomial]:
-    """Drop every monomial whose support contains another member's support.
+    """Minimal generators of the squarefree ideal the input generates.
 
-    Divisibility between squarefree monomials is support inclusion, so the
-    result is the minimal generating set of the ideal the input generates.
+    Each input counts as its support: the result holds canonical supports
+    ``tuple(sorted(set(g)))`` in (size, tuple) order, none containing
+    another.  A support of size d meets the kept ones of each size e by
+    looking up its C(d, e) subsets when those are fewer, else by a scan.
     """
-    items = sorted({tuple(g) for g in gens}, key=lambda g: (len(g), g))
     kept: list[Monomial] = []
-    kept_supports: list[frozenset[int]] = []
-    for g in items:
+    by_size: dict[int, set[Monomial]] = {}
+    for g in sorted({tuple(sorted(set(g))) for g in gens}, key=lambda g: (len(g), g)):
         support = frozenset(g)
-        if not any(s <= support for s in kept_supports):
+        for e, smaller in by_size.items():
+            if comb(len(g), e) <= len(smaller):
+                if not smaller.isdisjoint(combinations(g, e)):
+                    break
+            elif any(map(support.issuperset, smaller)):
+                break
+        else:
             kept.append(g)
-            kept_supports.append(support)
+            by_size.setdefault(len(g), set()).add(g)
     return kept
 
 

@@ -255,6 +255,20 @@ def test_realization_matches_oracle_closure(n, t, minimal_builds):
     assert minimal_builds  # each realization went through the unchecked constructor
 
 
+def test_realization_checks_stability_nowhere(monkeypatch):
+    # the realized ideal is strongly stable by construction; only its corner
+    # round trip runs, and the public extremal_corners still validates
+    config = extremal_corners(realize_ideal())
+
+    def refuse(*_):
+        raise AssertionError("stability test inside realization")
+
+    monkeypatch.setattr(betti, "is_t_ss_ideal", refuse)
+    assert realize_extremal_betti(config, REALIZE_CTX)[1] == realize_ideal()
+    with pytest.raises(AssertionError, match="stability test"):
+        extremal_corners(realize_ideal())
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(ideal=spread_ideals(n_max=14))
 def test_realization_matches_oracle_closure_hypothesis(ideal):

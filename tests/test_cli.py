@@ -20,7 +20,6 @@ from tspread.cli import (
     FORCE_LIMIT,
     _build_parser,
     _closure_size,
-    _parse,
     _slices_size,
     main,
     parse_monomial,
@@ -518,9 +517,9 @@ def parse_outcome(parse, argv):
 
 
 def assert_same_parse(argv):
-    """Parsing with the invoked command's parser alone changes nothing."""
-    full = parse_outcome(lambda a: _build_parser().parse_args(a), argv)
-    assert parse_outcome(_parse, argv) == full, argv
+    """Declaring only the arguments of the commands ``argv`` names changes nothing."""
+    full = parse_outcome(_build_parser(list(COMMANDS)).parse_args, argv)
+    assert parse_outcome(_build_parser(argv).parse_args, argv) == full, argv
 
 
 # Arguments no command takes, or a second value where one is taken, and help.
@@ -540,6 +539,9 @@ def test_exit_code_contract(ideal_sources, name, data):
 @pytest.mark.parametrize(
     "argv",
     [[], ["-h"], ["--help"], ["count"], ["nope", "--n", "3"], ["--n", "3", "count-ss"],
+     ["--", "count-ss", "--n", "13", "--t", "2", "2,5,8,11"],
+     ["-x", "count-ss", "--n", "13", "--t", "2", "2,5,8,11"],
+     ["check", "--n", "9", "--t", "2", "1,3", "sieve"],
      *([name, "-h"] for name in sorted(COMMANDS))],
 )
 def test_parse_outside_one_command(argv):
@@ -547,8 +549,9 @@ def test_parse_outside_one_command(argv):
 
 
 def test_usage_errors_after_parsing_show_full_usage(capsys):
-    # the ring check and the converters report through the full parser
-    usage = _build_parser().format_usage()
+    # the ring check and the converters report through the parser's error,
+    # whose usage names no command's arguments
+    usage = _build_parser([]).format_usage()
     for argv, message in [
         (["count-ss", "2,5,8,11"], "count-ss requires --n and --t"),
         (["count-ss", "--n", "0", "--t", "1", "1"], "need at least one variable, got n=0"),

@@ -1,10 +1,14 @@
 import copy
 import pickle
+import random
+import time
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import IDEAL_RINGS, spread_monomials
+from conftest import CLOSURE_40_CTX, IDEAL_RINGS, spread_monomials
 from tspread.betti import BettiTable, CornerConfig
 from tspread.core import (
     Context,
@@ -151,6 +155,28 @@ class TestMinimalize:
 
     def test_keeps_incomparable_same_degree(self):
         assert minimalize([(1, 4), (2, 3)]) == [(1, 4), (2, 3)]
+
+    def test_repeated_indices_count_as_their_support(self):
+        assert minimalize([(1, 2, 3), (1, 1, 1, 1)]) == [(1,)]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(gens=st.lists(st.lists(st.integers(1, 9), max_size=6), max_size=40))
+    def test_matches_pairwise_support_check(self, gens):
+        supports = {tuple(sorted(set(g))) for g in gens}
+        want = sorted(
+            (g for g in supports if not any(set(h) < set(g) for h in supports)),
+            key=lambda g: (len(g), g),
+        )
+        assert minimalize(gens) == want
+
+    def test_large_shuffled_closure_is_fast(self, closure_40):
+        # 129 913 generators, all minimal: minutes for a pairwise check
+        gens = list(closure_40[0].gens)
+        random.Random(40).shuffle(gens)
+        start = time.perf_counter()
+        ideal = MonomialIdeal(CLOSURE_40_CTX, gens)
+        assert time.perf_counter() - start < 5.0
+        assert ideal == closure_40[0]
 
 
 class TestMonomialIdeal:
