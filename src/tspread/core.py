@@ -224,9 +224,14 @@ def minimalize(gens: Iterable[Sequence[int]]) -> list[Monomial]:
     another.  A support of size d meets the kept ones of each size e by
     looking up its C(d, e) subsets when those are fewer, else by a scan.
     """
+    return _minimal(tuple(sorted(set(g))) for g in gens)
+
+
+def _minimal(supports: Iterable[Monomial]) -> list[Monomial]:
+    # ``minimalize`` of supports already canonical, as ``MonomialIdeal`` has them
     kept: list[Monomial] = []
     by_size: dict[int, set[Monomial]] = {}
-    for g in sorted({tuple(sorted(set(g))) for g in gens}, key=lambda g: (len(g), g)):
+    for g in sorted(set(supports), key=lambda g: (len(g), g)):
         support = frozenset(g)
         for e, smaller in by_size.items():
             if comb(len(g), e) <= len(smaller):
@@ -278,7 +283,7 @@ class MonomialIdeal(Frozen):
             if not m:
                 raise TSpreadError("the unit monomial cannot generate a proper ideal")
             canon.append(m)
-        object.__setattr__(self, "gens", tuple(minimalize(canon)))
+        object.__setattr__(self, "gens", tuple(_minimal(canon)))
 
     def _key(self) -> tuple:
         return (self.ctx, self.gens)

@@ -411,7 +411,7 @@ def test_strongly_stable_ideals_need_no_scan(monkeypatch):
         raise AssertionError("generator scan on a strongly stable ideal")
 
     monkeypatch.setattr(MonomialIdeal, "contains", refuse)
-    monkeypatch.setattr("tspread.core.minimalize", refuse)
+    monkeypatch.setattr("tspread.core._minimal", refuse)
     assert is_t_ss_ideal(ideal) and t_ss_ideal(ideal) == ideal
     config = betti.extremal_corners(ideal)
     assert betti.realize_extremal_betti(config, ideal.ctx)[1] == ideal
