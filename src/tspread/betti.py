@@ -14,7 +14,11 @@ membership, see ``construct.is_t_ss_ideal``), so every invariant here is
 linear in the number of generators.  Realization tests its candidates
 against the ideal built so far the same way: that ideal is strongly stable
 by construction, so a t-spread monomial lies in it exactly when one of its
-prefixes is a generator.
+prefixes is a generator.  Its new generators come from the same pruned walk
+as ``construct.t_ss_ideal``: the monomials Borel-above the chosen ones are
+grown prefix by prefix, and a prefix that is already a generator is dropped
+with everything below it, so no member of the ideal built so far is built
+again.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from .core import (
     NotStronglyStableError,
     TSpreadError,
 )
-from .construct import _has_prefix_in, is_t_ss_ideal, iter_veronese, t_ss_set
+from .construct import _fresh, _has_prefix_in, is_t_ss_ideal, iter_veronese
 
 
 class BettiTable(Frozen):
@@ -221,6 +225,9 @@ def realize_extremal_betti(
     a prefix lookup in its generator set.  Degrees strictly increase, so no
     new closure member divides an old generator: the new minimal generators
     are the closure members outside the running ideal, appended in order.
+    The walk that lists them grows the monomials Borel-above the chosen
+    ones prefix by prefix and drops a prefix as soon as it is a generator,
+    so it never visits a member of the running ideal.
     """
     basics: list[Monomial] = []
     gens: list[Monomial] = []
@@ -244,9 +251,9 @@ def realize_extremal_betti(
                 f"cannot reach value {a}"
             )
         basics += chosen
-        fresh = [w for w in t_ss_set(chosen, ctx) if not _has_prefix_in(w, gen_set)]
-        gens += fresh
-        gen_set.update(fresh)
+        start = len(gens)
+        _fresh(chosen, gen_set, ctx.t, gens)
+        gen_set.update(gens[start:])
     running = MonomialIdeal._of_minimal(ctx, tuple(gens))
     detected = _corners(running)
     if detected != config:

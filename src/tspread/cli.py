@@ -16,10 +16,11 @@ stderr), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import prod
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from . import construct, core, count, kk, oracle
 from .betti import CornerConfig, extremal_corners, graded_betti, realize_extremal_betti
@@ -74,7 +75,7 @@ def _ideal(source: str, ctx: Context, fail: Fail) -> MonomialIdeal:
         fail(f"cannot read ideal from {source!r}: {exc}")
     gens = [_monomial(line, ctx, fail) for line in text.splitlines() if line.strip()]
     try:
-        return MonomialIdeal(ctx, tuple(gens))
+        return MonomialIdeal._of_valid(ctx, gens)  # each line validated just now
     except TSpreadError as exc:
         fail(f"bad ideal input: {exc}")
 
@@ -96,23 +97,39 @@ def _corners(specs: Sequence[str], ctx: Context, fail: Fail) -> CornerConfig:
         fail(f"bad corner configuration: {exc}")
 
 
-class Arg(NamedTuple):
-    """A positional or flag: its argparse declaration and its converter."""
+class Arg:
+    """A positional or flag: its argparse declaration and its converter.
 
-    name: str
-    convert: Callable[..., object] | None  # None: argparse's value is final
-    options: dict
-    unless: str | None = None  # left unconverted (None) when this option is given
+    A plain slotted class: a ``NamedTuple`` costs every process about half
+    a millisecond to create.
+    """
+
+    __slots__ = ("name", "convert", "options", "unless")
+
+    def __init__(
+        self,
+        name: str,
+        convert: Callable[..., object] | None,  # None: argparse's value is final
+        options: dict,
+        unless: str | None = None,  # left unconverted (None) when this option is given
+    ) -> None:
+        self.name = name
+        self.convert = convert
+        self.options = options
+        self.unless = unless
 
 
 MONOMIAL = Arg("monomial", _monomial, {})
 MONOMIALS = Arg(
     "monomials", lambda texts, ctx, fail: [_monomial(s, ctx, fail) for s in texts], {"nargs": "+"}
 )
-START = MONOMIAL._replace(name="start")
-END = MONOMIAL._replace(name="end")
+START = Arg("start", _monomial, {})
+END = Arg("end", _monomial, {})
 IDEAL = Arg("ideal", _ideal, {"nargs": "?", "default": "-"})
-INT = Arg("value", None, {"type": int})
+
+
+def _int(name: str) -> Arg:
+    return Arg(name, None, {"type": int})
 
 
 def _flag(name: str, help_: str) -> Arg:
@@ -182,7 +199,11 @@ def _slices_size(ideal: MonomialIdeal, ctx: Context) -> int:
 
 
 def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:
-    """Monomials the closure walk visits: each generator's strongly stable set."""
+    """An upper bound on the generators the closure emits.
+
+    Each is in the strongly stable set of an input generator of its degree,
+    so the sizes of those sets, counted without building them, bound it.
+    """
     core.require_t_spread_ideal(ideal)
     return sum(count.count_t_ss_mon(g, ctx) for g in ideal.gens)
 
@@ -199,18 +220,30 @@ def _silent(*_: object) -> None:
     """Oracle check of a command that is its own reference: no verdict."""
 
 
-class Command(NamedTuple):
+class Command:
     """One subcommand, called with the converted argument ``values``."""
 
-    help: str
-    args: tuple[Arg, ...]
-    kernel: Callable[..., object]  # (*values, ctx) -> result
-    render: Callable[[object], Rendered]  # result -> (payload, lines)
-    size: Callable[..., int] | None = None  # (*values, ctx) -> monomials to build
-    # (result, *values, ctx) -> agreement, or None for no verdict; a command
-    # without one reports the cross-check as not available
-    oracle: Callable[..., bool | None] | None = None
-    ring: bool = True  # whether --n and --t are required
+    __slots__ = ("help", "args", "kernel", "render", "size", "oracle", "ring")
+
+    def __init__(
+        self,
+        help: str,
+        args: tuple[Arg, ...],
+        kernel: Callable[..., object],  # (*values, ctx) -> result
+        render: Callable[[object], Rendered],  # result -> (payload, lines)
+        size: Callable[..., int] | None = None,  # (*values, ctx) -> monomials to build
+        # (result, *values, ctx) -> agreement, or None for no verdict; a
+        # command without one reports the cross-check as not available
+        oracle: Callable[..., bool | None] | None = None,
+        ring: bool = True,  # whether --n and --t are required
+    ) -> None:
+        self.help = help
+        self.args = args
+        self.kernel = kernel
+        self.render = render
+        self.size = size
+        self.oracle = oracle
+        self.ring = ring
 
 
 COMMANDS: dict[str, Command] = {
@@ -262,7 +295,7 @@ COMMANDS: dict[str, Command] = {
         lambda ideal, ctx: construct.t_ss_ideal(ideal).gens, _monomial_list,
         size=_closure_size),
     "veronese": Command(
-        "all t-spread monomials of one degree", (INT._replace(name="degree"),),
+        "all t-spread monomials of one degree", (_int("degree"),),
         construct.t_veronese, _monomial_list, size=count.card_veronese,
         oracle=lambda r, d, ctx: r == oracle.enumerate_veronese(d, ctx)),
     "betti": Command(
@@ -281,7 +314,7 @@ COMMANDS: dict[str, Command] = {
         size=_slices_size),
     "macaulay": Command(
         "greedy binomial expansion of a value at a degree",
-        (INT, INT._replace(name="degree"), _flag("--shift", "apply the growth-bound shift"),
+        (_int("value"), _int("degree"), _flag("--shift", "apply the growth-bound shift"),
          _flag("--solve", "print the summed value instead")),
         _macaulay, _expansion),
     "is-ft": Command(
@@ -290,7 +323,7 @@ COMMANDS: dict[str, Command] = {
     "lex-ideal": Command(
         "lex ideal from a quotient vector (--f) or sharing an ideal's",
         (Arg("--f", _vector, {"metavar": "VECTOR", "help": "quotient counts, e.g. 1,8,21,10,0"}),
-         IDEAL._replace(unless="f")),
+         Arg("ideal", _ideal, IDEAL.options, unless="f")),
         lambda f, ideal, ctx: (
             kk.t_lex_ideal_of(ideal) if f is None else kk.t_lex_ideal_from_f(f, ctx)).gens,
         _monomial_list, size=_lex_ideal_size),
@@ -357,9 +390,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
     set_limit(0)
     try:
-        return _answer(args, row, values, ctx)
+        status = _answer(args, row, values, ctx)
+        sys.stdout.flush()  # so a reader that has left shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed the pipe (``tspread ... | head -1``): send the
+        # rest to devnull, as the Python docs' SIGPIPE note does, so that
+        # the flush at exit cannot fail again, and exit 1 without a message
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         set_limit(saved)
+    return status
 
 
 def _answer(args: argparse.Namespace, row: Command, values: list, ctx: Context | None) -> int:

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from itertools import groupby
 from math import comb
+from operator import ge
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -241,6 +243,39 @@ def _has_prefix_in(w: Monomial, gens: set[Monomial]) -> bool:
     return any(w[:j] in gens for j in range(1, len(w) + 1))
 
 
+def _fresh(caps: Sequence[Monomial], low: set[Monomial], t: int, out: list[Monomial]) -> None:
+    # Appends to out, descending in slex, the degree-d t-spread w that are
+    # Borel-above some cap (w <= u componentwise) and have no proper prefix
+    # in low.  The caps are nonempty, of degree d and descending in slex.
+    # A cap below another adds nothing, and the greater one comes later in
+    # that order, so one backward pass keeps the greatest caps.  w grows one
+    # index at a time: after a prefix, the next index runs from the last one
+    # plus t up to the largest one among the caps still above the prefix,
+    # and every such prefix completes, because the caps are t-spread.  A
+    # prefix in low is pruned with all its extensions, so no member of the
+    # ideal low generates is ever visited.  An explicit stack, not
+    # recursion: at t = 1 the degree can pass the recursion limit.
+    greatest: list[Monomial] = []
+    for u in reversed(caps):
+        if not any(all(map(ge, v, u)) for v in greatest):
+            greatest.append(u)
+    d = len(greatest[0])
+    stack = [((), greatest)]
+    while stack:
+        prefix, alive = stack.pop()
+        q = len(prefix)
+        start = prefix[-1] + t if prefix else 1
+        top = max(u[q] for u in alive)
+        if q == d - 1:  # the last index: w is whole, and only its proper prefixes count
+            out.extend(prefix + (x,) for x in range(start, top + 1))
+            continue
+        # pushed from the top down, so the least index is popped first
+        for x in range(top, start - 1, -1):
+            w = prefix + (x,)
+            if w not in low:
+                stack.append((w, [u for u in alive if u[q] >= x]))
+
+
 def is_t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     """Whether the set is closed under all single exchange moves.
 
@@ -272,26 +307,51 @@ def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
     Together: the ideal is strongly stable exactly when every decrement of
     every generator has a generator prefix.  If it is, the decrements are
     members and so have one; if they all have one, they are members.
+
+    *Tail prefixes only.*  Lowering index k of g leaves ``w[:j] = g[:j]``
+    for j <= k, a proper prefix of g, and no minimal generator has another
+    as a proper prefix; so only j = k+1, ..., d are looked up.
     """
     if not is_t_spread_ideal(ideal):
         return False
     gens = set(ideal.gens)
     t = ideal.ctx.t
-    return all(_has_prefix_in(w, gens) for g in ideal.gens for w in _decrements(g, t))
+    for g in ideal.gens:
+        prev = 1 - t
+        for k, i in enumerate(g):
+            if i - 1 - prev >= t:  # the decrements of _decrements, inlined
+                # the prefixes w[:j], j > k, of the decrement w, shortest first
+                w = g[:k] + (i - 1,)
+                if w not in gens:
+                    for x in g[k + 1:]:
+                        w += (x,)
+                        if w in gens:
+                            break
+                    else:
+                        return False
+            prev = i
+    return True
 
 
 def t_ss_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
     """Smallest t-strongly stable ideal containing the given one.
 
-    Closes each generator in its own degree; nothing outside the generator
-    degrees is ever touched.  The closure generates a strongly stable ideal,
-    so by the prefix lemma (see ``is_t_ss_ideal``) its minimal generators
-    are the members with no proper prefix in the closure.
+    By the prefix lemma (see ``is_t_ss_ideal``) its minimal generators are
+    the closure members with no generator of lower degree as a prefix.  So
+    the degrees go up one at a time, and each walks only those: the
+    monomials Borel-above a generator of that degree, grown prefix by
+    prefix, a prefix dropped with everything below it as soon as it is a
+    generator found before.  No member of the ideal already found is built,
+    and nothing outside the generator degrees is touched.
     """
     ctx = require_t_spread_ideal(ideal).ctx
-    closed = {w for g in ideal.gens for w in _walk(max_mon(len(g), ctx), g, g, ctx.t)}
-    gens = [w for w in closed if not _has_prefix_in(w[:-1], closed)]
-    return MonomialIdeal._of_minimal(ctx, tuple(sorted(gens, key=lambda g: (len(g), g))))
+    gens: list[Monomial] = []
+    low: set[Monomial] = set()
+    for _, caps in groupby(ideal.gens, len):  # generators come in degree order
+        start = len(gens)
+        _fresh(list(caps), low, ctx.t, gens)
+        low.update(gens[start:])
+    return MonomialIdeal._of_minimal(ctx, tuple(gens))
 
 
 def t_spread_component(ideal: MonomialIdeal) -> Iterator[tuple[int, list[Monomial]]]:

@@ -245,6 +245,16 @@ def _minimal(supports: Iterable[Monomial]) -> list[Monomial]:
     return kept
 
 
+def _proper_minimal(valid: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    # ``_minimal`` of validated monomials, refusing the unit monomial as it comes
+    canon = []
+    for m in valid:
+        if not m:
+            raise TSpreadError("the unit monomial cannot generate a proper ideal")
+        canon.append(m)
+    return tuple(_minimal(canon))
+
+
 def exchange_moves(u: Monomial, ctx: Context) -> Iterator[Monomial]:
     """All t-spread results of swapping one support index for a smaller one.
 
@@ -277,16 +287,16 @@ class MonomialIdeal(Frozen):
 
     def __init__(self, ctx: Context, gens: Iterable[Sequence[int]] = ()) -> None:
         object.__setattr__(self, "ctx", ctx)
-        canon = []
-        for g in gens:
-            m = validate_monomial(g, ctx)
-            if not m:
-                raise TSpreadError("the unit monomial cannot generate a proper ideal")
-            canon.append(m)
-        object.__setattr__(self, "gens", tuple(_minimal(canon)))
+        object.__setattr__(self, "gens", _proper_minimal(validate_monomial(g, ctx) for g in gens))
 
     def _key(self) -> tuple:
         return (self.ctx, self.gens)
+
+    @classmethod
+    def _of_valid(cls, ctx: Context, gens: Iterable[Monomial]) -> MonomialIdeal:
+        """Constructor for generators validated already (``validate_monomial``
+        output), as the command line reads them: minimalized, not checked."""
+        return cls._of_minimal(ctx, _proper_minimal(gens))
 
     @classmethod
     def _of_minimal(cls, ctx: Context, gens: tuple[Monomial, ...]) -> MonomialIdeal:

@@ -596,3 +596,16 @@ def test_json_output_in_a_fresh_process():
         "main(['count-ss', '--n', '9', '--t', '2', '2,5,8', '--format', 'json', '--oracle'])"
     )
     assert python_without_site(code) == '{"result": 14, "oracle_agrees": true}\n'
+
+
+def test_reader_leaving_early_ends_the_run_quietly():
+    # ``tspread veronese --n 30 --t 2 5 | head -1``: 26 334 lines, far more
+    # than a pipe buffers, so the writer meets the closed pipe
+    root = str(Path(tspread.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "tspread.cli", "veronese", "--n", "30", "--t", "2", "5"]
+    env = {**os.environ, "PYTHONPATH": root}
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"1,3,5,7,9\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""

@@ -1,10 +1,14 @@
+import time
 from functools import reduce
+from itertools import combinations
 from operator import or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from conftest import (
+    CLOSURE_40_CTX,
+    CLOSURE_40_GENS,
     CLOSURE_RINGS,
     IDEAL_RINGS,
     REALIZE_BASICS,
@@ -21,6 +25,7 @@ from tspread.core import (
     MonomialIdeal,
     NotTSpreadError,
     TSpreadError,
+    _gaps_at_least,
     exchange_moves,
     max_mon,
     min_mon,
@@ -419,6 +424,82 @@ def test_strongly_stable_ideals_need_no_scan(monkeypatch):
     assert kk.ft_vector(kk.t_lex_ideal_of(ideal)) == kk.ft_vector(ideal)
     assert not is_t_lex_ideal(ideal)
     assert len(t_veronese_ideal(3, ideal.ctx).gens) == 1330  # C(21, 3)
+
+
+def fresh_matches_definition(ideal, closed):
+    """``_fresh`` per generator degree, and so ``t_ss_ideal``, against the
+    closure ``closed``: the members with no proper prefix in it."""
+    want = sorted((w for w in closed if not construct._has_prefix_in(w[:-1], closed)),
+                  key=lambda w: (len(w), w))
+    for d in ideal.degrees():
+        out = []
+        construct._fresh(ideal.gens_of_degree(d), closed, ideal.ctx.t, out)
+        assert out == [w for w in want if len(w) == d], (ideal.gens, d)
+    # t_ss_ideal prunes by the generators found so far, not the whole closure
+    assert t_ss_ideal(ideal).gens == tuple(want), ideal.gens
+
+
+@pytest.mark.parametrize("n,t", IDEAL_RINGS)
+def test_pruned_walk_matches_borel_sets(n, t, minimal_builds):
+    for ideal, closure in small_ideals(n, t):  # the union of the Borel sets, by the oracle
+        fresh_matches_definition(ideal, closure)
+    assert minimal_builds
+
+
+# minimal_builds patches the same check in for every example
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ideal=spread_ideals())
+def test_pruned_walk_matches_borel_sets_hypothesis(ideal, minimal_builds):
+    fresh_matches_definition(ideal, {w for g in ideal.gens for w in t_ss_mon(g, ideal.ctx)})
+    assert minimal_builds
+
+
+def test_closures_and_realizations_walk_no_borel_set(monkeypatch, closure_40):
+    from tspread import betti
+
+    def refuse(*_):
+        raise AssertionError("whole Borel set walked")
+
+    def veronese(d, ctx):  # realization's candidates, without the successor
+        return (m for m in combinations(range(1, ctx.n + 1), d) if _gaps_at_least(m, ctx.t))
+
+    monkeypatch.setattr(construct, "_walk", refuse)
+    monkeypatch.setattr(construct, "t_ss_mon", refuse)
+    monkeypatch.setattr(construct, "t_ss_set", refuse)
+    monkeypatch.setattr(betti, "iter_veronese", veronese)
+    for ideal, gens in [
+        (MonomialIdeal(Context(25, 3), REALIZE_BASICS), REALIZE_GENERATORS),
+        (MonomialIdeal(CLOSURE_40_CTX, CLOSURE_40_GENS), closure_40[0].gens),
+    ]:
+        closed = t_ss_ideal(ideal)
+        assert closed.gens == gens
+        config = betti.extremal_corners(closed)
+        basics, realized = betti.realize_extremal_betti(config, ideal.ctx)
+        assert betti.extremal_corners(realized) == config
+        assert realized == t_ss_ideal(MonomialIdeal(ideal.ctx, basics))
+
+
+def test_deep_closure_needs_no_recursion():
+    # at t = 1 the degree reaches n, past the default recursion limit of 1000
+    ctx = Context(1200, 1)
+    u = tuple(range(1, 1201))
+    assert t_ss_ideal(MonomialIdeal(ctx, [u])).gens == (u,)
+    v = u[:-1] + (1201,)  # at n = 1201 the Borel set of v is {u, v}
+    out = []
+    construct._fresh([u, v], set(), 1, out)
+    assert out == [u, v]
+    from tspread.betti import CornerConfig, realize_extremal_betti
+
+    assert realize_extremal_betti(CornerConfig([(0, 1200)], [1]), ctx)[1].gens == (u,)
+
+
+def test_closure_of_a_large_closure_is_itself(closure_40):
+    # 129 913 generators as caps: only the greatest of each degree are walked
+    closed, _ = closure_40
+    start = time.perf_counter()
+    assert t_ss_ideal(closed) == closed
+    assert time.perf_counter() - start < 10.0
 
 
 def test_large_closure_is_fast(closure_40):
