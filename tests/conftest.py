@@ -49,8 +49,8 @@ KK_LEX_GENS = (
 )
 KK_FT = [1, 8, 21, 10, 0]
 
-# Three 2-spread generators over 40 variables whose strongly stable closure
-# walks 258 985 monomials and keeps 129 913 minimal generators.
+# Three 2-spread generators over 40 variables whose Borel sets hold 258 985
+# monomials and whose strongly stable closure has 129 913 minimal generators.
 CLOSURE_40_CTX = Context(40, 2)
 CLOSURE_40_GENS = ((5, 12, 20, 30, 38), (3, 9, 18, 27), (7, 15, 25, 33, 40))
 

@@ -336,8 +336,8 @@ class TestErrors:
         assert code == 1 and "output would hold at least 10^6020 monomials" in err
 
     def test_closure_guard(self, capsys, monkeypatch):
-        # the n = 40 closure (258 985 monomials walked, 129 913 generators
-        # out; built in test_construct) is below the limit, so not refused
+        # the n = 40 closure (Borel sets of 258 985 monomials, 129 913
+        # generators out; built in test_construct) is below the limit
         ctx = Context(40, 2)
         ideal = MonomialIdeal(ctx, [(5, 12, 20, 30, 38), (3, 9, 18, 27), (7, 15, 25, 33, 40)])
         assert _closure_size(ideal, ctx) == 258985 < FORCE_LIMIT
