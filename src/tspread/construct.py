@@ -8,13 +8,20 @@ basis of the ambient ring enumerated.
 All set-valued results come back strictly descending in the squarefree-lex
 order, which for index tuples is plain ascending sort order.
 
-Lex and Borel walks share one successor, which bumps the last index still
-below its cap and repacks the tail t apart.  Capped by ``u`` it walks the
-monomials Borel-above ``u``; every monomial of a degree is Borel-above its
-slex-least one, so capped by ``min_mon`` it walks the whole lex order.
-A walk may start at any slex rank: the unrank step finds the monomial of
-a given rank in O(d log n) binomials.  Public functions validate once; the
-walks and shadows never again.
+Lex and Borel sets are the t-spread monomials capped by a monomial ``c``
+(w <= c componentwise) between two slex endpoints.  Capped by ``u`` they
+are the monomials Borel-above ``u``; every monomial of a degree is
+Borel-above its slex-least one, so capped by ``min_mon`` they are a stretch
+of the whole lex order.  Two kernels list them.  The successor ``_step``
+bumps the last index still below its cap and repacks the tail t apart; it
+serves the lazy and single-step calls (``t_next_lex``, ``iter_veronese``).
+The level builder ``_walk`` serves every lex and Borel list: it grows
+all prefixes of the set one position at a time, each by a range of
+indices, so the tuples are made by C-level concatenation and no Python
+code runs per monomial.
+A set may start at any slex rank: the unrank step finds the monomial of a
+given rank in O(d log n) binomials.  Public functions validate once; the
+kernels and shadows never again.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import groupby
 from math import comb
-from operator import ge
+from operator import ge, itemgetter, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -84,13 +91,31 @@ def _step(w: Monomial, caps: Monomial, t: int) -> Monomial | None:
     return w[:q] + tuple(range(w[q] + 1, w[q] + 1 + (len(w) - q) * t, t))
 
 
-def _walk(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> Iterator[Monomial]:
-    # bottom must be Borel-above caps and slex-below top, or it is never met
-    w = top
-    yield w
-    while w != bottom:
-        w = _step(w, caps, t)
-        yield w
+def _walk(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> list[Monomial]:
+    # Every t-spread w with top <= w <= bottom (tuple order) and w <= caps
+    # componentwise, ascending; top and bottom lie under caps, which is
+    # t-spread.  Level q holds the length-q prefixes of these w, ascending:
+    # top[:q] first, bottom[:q] last.  A middle prefix p extends by every x
+    # from p[-1] + t to caps[q]; only the first is held from below (by
+    # top[q]) and only the last from above (by bottom[q]), one prefix when
+    # top[:q] == bottom[:q].  Every prefix completes, as caps is t-spread,
+    # so no level is longer than the result.  The middle prefixes share one
+    # table of singletons (x,) from their least start up to caps[q]; every
+    # x in it is used, so the table is never longer than the level it grows.
+    level = [()]
+    for lo, hi, cap in zip(top, bottom, caps):
+        first, last = level[0], level[-1]
+        if len(level) == 1:
+            level = list(map(first.__add__, zip(range(lo, hi + 1))))
+            continue
+        mid = level[1:-1]
+        base = min(map(itemgetter(-1), mid), default=cap) + t
+        one = tuple(zip(range(base, cap + 1)))
+        grown = list(map(first.__add__, zip(range(lo, cap + 1))))
+        grown += [w for p in mid for w in map(p.__add__, one[p[-1] + t - base:])]
+        grown += map(last.__add__, zip(range(last[-1] + t, hi + 1)))
+        level = grown
+    return level
 
 
 def _unrank(r: int, d: int, ctx: Context) -> Monomial:
@@ -129,12 +154,18 @@ def iter_veronese(d: int, ctx: Context) -> Iterator[Monomial]:
     if d and 1 + (d - 1) * ctx.t > ctx.n:
         return
     low = min_mon(d, ctx)
-    yield from _walk(max_mon(d, ctx), low, low, ctx.t)
+    w: Monomial | None = max_mon(d, ctx)
+    while w is not None:
+        yield w
+        w = _step(w, low, ctx.t)
 
 
 def t_veronese(d: int, ctx: Context) -> list[Monomial]:
     """The full degree-d slice of t-spread monomials, descending in slex."""
-    return list(iter_veronese(d, ctx))
+    if d and 1 + (d - 1) * ctx.t > ctx.n:
+        return []
+    low = min_mon(d, ctx)
+    return _walk(max_mon(d, ctx), low, low, ctx.t)
 
 
 def t_veronese_ideal(d: int, ctx: Context) -> MonomialIdeal:
@@ -146,24 +177,41 @@ def t_veronese_ideal(d: int, ctx: Context) -> MonomialIdeal:
 def t_lex_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]:
     """All monomials between ``v`` and ``u`` inclusive in the slex order.
 
-    Built by iterating the successor from ``v`` until ``u`` appears.
+    Built prefix level by prefix level, capped by the slex-least monomial.
     """
     top = require_t_spread(v, ctx)
     bottom = require_t_spread(u, ctx)
     if cmp_slex(top, bottom) < 0:
         raise TSpreadError("segment start lies below its end in the slex order")
-    return list(_walk(top, bottom, min_mon(len(top), ctx), ctx.t))
+    return _walk(top, bottom, min_mon(len(top), ctx), ctx.t)
 
 
 def t_lex_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
     """The smallest lex set containing ``u``: everything slex-above it."""
     m = require_t_spread(u, ctx)
-    return list(_walk(max_mon(len(m), ctx), m, min_mon(len(m), ctx), ctx.t))
+    return _walk(max_mon(len(m), ctx), m, min_mon(len(m), ctx), ctx.t)
 
 
 def _spread_slice(monomials: Iterable[Sequence[int]], ctx: Context) -> set[Monomial] | None:
-    # the members validated once, or None unless all are t-spread of one degree
-    ms = {validate_monomial(m, ctx) for m in monomials}
+    # The members validated once, or None unless all are t-spread of one
+    # degree.  A batch check column by column accepts the common case:
+    # index columns at least t apart, the first at least 1, the last at most
+    # n.  Anything else takes the member-by-member path, which decides it
+    # and raises as before, for the first offending member in input order.
+    items = list(monomials)
+    try:
+        ms = {tuple(map(int, u)) for u in items}
+    except Exception:  # re-raised below, in input order
+        ms = None
+    if ms is not None and len(set(map(len, ms))) < 2:
+        cols = list(zip(*ms))
+        if not cols or (
+            min(cols[0]) >= 1
+            and max(cols[-1]) <= ctx.n
+            and all(min(map(sub, b, a)) >= ctx.t for a, b in zip(cols, cols[1:]))
+        ):
+            return ms
+    ms = {validate_monomial(m, ctx) for m in items}
     if len({len(m) for m in ms}) > 1 or not all(_gaps_at_least(m, ctx.t) for m in ms):
         return None
     return ms
@@ -199,7 +247,7 @@ def t_ss_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]
         raise BorelIncomparableError(
             "segment start must dominate its end in the Borel order"
         )
-    return list(_walk(top, bottom, bottom, ctx.t))
+    return _walk(top, bottom, bottom, ctx.t)
 
 
 def t_ss_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
@@ -209,7 +257,7 @@ def t_ss_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
     monomial of the degree is always its first element.
     """
     m = require_t_spread(u, ctx)
-    return list(_walk(max_mon(len(m), ctx), m, m, ctx.t))
+    return _walk(max_mon(len(m), ctx), m, m, ctx.t)
 
 
 def t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> list[Monomial]:
@@ -223,7 +271,10 @@ def is_t_ss_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     if not ms:
         return ms is not None  # the empty set is a segment
     top, bottom = slex_max(ms), slex_min(ms)
-    return borel_geq(top, bottom) and ms == set(_walk(top, bottom, bottom, ctx.t))
+    if not borel_geq(top, bottom):
+        return False
+    seg = _walk(top, bottom, bottom, ctx.t)
+    return len(seg) == len(ms) and ms.issuperset(seg)
 
 
 def _decrements(u: Monomial, t: int) -> Iterator[Monomial]:

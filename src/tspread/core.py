@@ -123,7 +123,7 @@ class Context(Frozen):
 
 def validate_monomial(u: Sequence[int], ctx: Context) -> Monomial:
     """Canonicalize ``u`` to an index tuple, strictly increasing inside [1, n]."""
-    m = tuple(int(i) for i in u)
+    m = tuple(map(int, u))
     for a, b in zip(m, m[1:]):
         if b <= a:
             raise TSpreadError(f"support must be strictly increasing, got {m}")

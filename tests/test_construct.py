@@ -5,6 +5,7 @@ from operator import or_
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CLOSURE_40_CTX,
@@ -26,11 +27,14 @@ from tspread.core import (
     NotTSpreadError,
     TSpreadError,
     _gaps_at_least,
+    borel_geq,
     exchange_moves,
     max_mon,
     min_mon,
     minimalize,
+    validate_monomial,
 )
+from tspread.count import card_veronese, count_t_lex_mon, count_t_ss_mon
 from tspread.construct import (
     is_t_lex_ideal,
     is_t_lex_seg,
@@ -290,6 +294,130 @@ def test_walks_and_shadow_match_oracle_in_order(n, t):
             assert t_lex_mon(u, ctx) == sorted(oracle_lex_set(u, ctx))
             assert t_ss_mon(u, ctx) == sorted(oracle_borel_set(u, ctx))
             assert t_shadow(u, ctx) == sorted(oracle_shadow([u], ctx))
+
+
+def stepped(top, bottom, caps, t):
+    """The successor walk the level builder replaced: ``_step`` from top to bottom."""
+    out = [top]
+    while out[-1] != bottom:
+        out.append(construct._step(out[-1], caps, t))
+    return out
+
+
+@pytest.mark.parametrize("n,t", GRID)
+def test_level_builder_matches_successor_walk_and_oracle(n, t):
+    # every L_t{u} and B_t{u}, every lex segment and every Borel segment
+    # B_t[v,u] of the ring, and the Veronese slice
+    ctx = Context(n, t)
+    walk = construct._walk
+    for d in range(ctx.max_degree() + 1):
+        chain = enumerate_veronese(d, ctx)
+        top, low = chain[0], min_mon(d, ctx)
+        assert walk(top, low, low, t) == stepped(top, low, low, t) == chain
+        for j, u in enumerate(chain):
+            borel = sorted(oracle_borel_set(u, ctx))
+            assert walk(top, u, u, t) == stepped(top, u, u, t) == borel, u
+            for i, v in enumerate(chain[: j + 1]):
+                assert walk(v, u, low, t) == stepped(v, u, low, t) == chain[i : j + 1], (v, u)
+                if borel_geq(v, u):
+                    want = [w for w in borel if w >= v]
+                    assert walk(v, u, u, t) == stepped(v, u, u, t) == want, (v, u)
+
+
+@st.composite
+def walk_cases(draw, n_max=60, t_max=3, window=2000):
+    """(ctx, v, u, w): a lex segment [v, u] of at most ``window`` + 1
+    monomials, ranks anywhere, and a w of rank at most ``window``."""
+    n = draw(st.integers(1, n_max))
+    t = draw(st.integers(1, t_max))
+    ctx = Context(n, t)
+    d = draw(st.integers(1, ctx.max_degree()))
+    card = card_veronese(d, ctx)
+    first = draw(st.integers(0, card - 1))
+    last = draw(st.integers(first, min(card - 1, first + window)))
+    rank = draw(st.integers(0, min(card - 1, window)))
+    return ctx, *(construct._unrank(r, d, ctx) for r in (first, last, rank))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=walk_cases(), data=st.data())
+def test_level_builder_matches_successor_walk_hypothesis(case, data):
+    ctx, v, u, w = case
+    t, walk = ctx.t, construct._walk
+    low = min_mon(len(u), ctx)
+    lex = walk(v, u, low, t)
+    assert lex == stepped(v, u, low, t)
+    assert len(lex) == count_t_lex_mon(u, ctx) - count_t_lex_mon(v, ctx) + 1
+    # B_t{w}, a subset of L_t{w}, so no larger than the rank of w plus one
+    top = max_mon(len(w), ctx)
+    borel = walk(top, w, w, t)
+    assert borel == stepped(top, w, w, t)
+    assert len(borel) == count_t_ss_mon(w, ctx)
+    # a Borel segment B_t[x, w] from one of its own members
+    x = data.draw(st.sampled_from(borel))
+    assert walk(x, w, w, t) == stepped(x, w, w, t) == [y for y in borel if y >= x]
+
+
+def test_level_builder_reaches_large_indices():
+    # indices near 20 000 and 10^6: a fixed-size table of singletons would
+    # cut the ranges short
+    ctx = Context(20000, 1)
+    seg = t_lex_seg((1, 19990), (2, 10), ctx)
+    assert len(seg) == count_t_lex_mon((2, 10), ctx) - count_t_lex_mon((1, 19990), ctx) + 1 == 19
+    assert seg[0] == (1, 19990) and seg[10] == (1, 20000) and seg[-1] == (2, 10)
+    borel = t_ss_mon((3, 20000), ctx)
+    assert len(borel) == count_t_ss_mon((3, 20000), ctx) == 19999 + 19998 + 19997
+    assert borel[-2:] == [(3, 19999), (3, 20000)]
+    lex = t_lex_mon((1, 20000), ctx)
+    assert len(lex) == count_t_lex_mon((1, 20000), ctx) == 19999 and lex[-1] == (1, 20000)
+    big = Context(10**6, 1)
+    assert t_lex_seg((1, 999990), (2, 3), big) == [(1, x) for x in range(999990, 10**6 + 1)] + [(2, 3)]
+
+
+def per_member_slice(monomials, ctx):
+    """``_spread_slice`` member by member, as it was before the batch check."""
+    ms = {validate_monomial(m, ctx) for m in monomials}
+    if len({len(m) for m in ms}) > 1 or not all(_gaps_at_least(m, ctx.t) for m in ms):
+        return None
+    return ms
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return "raised", type(exc), str(exc)
+
+
+@st.composite
+def slice_inputs(draw, n_max=12, t_max=4):
+    """(members, ctx): often a valid slice, else anything the boundary may see."""
+    n = draw(st.integers(1, n_max))
+    t = draw(st.integers(1, t_max))
+    ctx = Context(n, t)
+    d = draw(st.integers(0, ctx.max_degree()))
+    valid = st.builds(
+        lambda pick: tuple(x + k * (t - 1) for k, x in enumerate(sorted(pick))),
+        st.lists(st.integers(1, n - max(d - 1, 0) * (t - 1)), min_size=d, max_size=d, unique=True),
+    )
+    entry = st.one_of(st.integers(-1, n + 2), st.sampled_from(["3", True, False, "x", None]))
+    junk = st.one_of(st.tuples(), st.lists(entry, max_size=4).map(tuple), st.lists(entry, max_size=4))
+    # strictly increasing inside [1, n], gaps below t allowed
+    increasing = st.lists(st.integers(1, n), max_size=4, unique=True).map(lambda m: tuple(sorted(m)))
+    members = draw(st.lists(st.one_of(valid, valid, increasing, junk), max_size=8))
+    if draw(st.booleans()):  # repeats
+        members += members[: draw(st.integers(0, len(members)))]
+    return members, ctx
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=slice_inputs())
+def test_batch_slice_check_matches_member_by_member(case):
+    members, ctx = case
+    assert outcome(construct._spread_slice, members, ctx) == outcome(per_member_slice, members, ctx)
+    assert outcome(construct._spread_slice, iter(members), ctx) == outcome(
+        per_member_slice, members, ctx
+    )
 
 
 @pytest.mark.parametrize("n,t", GRID)
