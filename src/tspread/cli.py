@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 from math import prod
 from pathlib import Path
 from typing import Callable, Iterable, NoReturn, Sequence
@@ -41,7 +42,7 @@ def parse_monomial(text: str) -> Monomial:
 
 
 def format_monomial(m: Monomial) -> str:
-    return ",".join(str(i) for i in m) if m else "1"
+    return ",".join(map(str, m)) if m else "1"
 
 
 def brace_vector(values: Sequence[int]) -> str:
@@ -136,12 +137,14 @@ def _flag(name: str, help_: str) -> Arg:
     return Arg(name, None, {"action": "store_true", "help": help_})
 
 
-# Renderers: the JSON payload and the text lines of one result.
+# Renderers: the JSON payload and the text lines of one result.  Only one
+# of the two is used, so neither should cost much before it is read.
 Rendered = tuple[object, Iterable[str]]
 
 
 def _monomial_list(monomials: Sequence[Monomial]) -> Rendered:
-    return [list(m) for m in monomials], [format_monomial(m) for m in monomials]
+    # json writes tuples as lists, and the lines are formatted when written
+    return monomials, map(format_monomial, monomials)
 
 
 def _scalar(value: int) -> Rendered:
@@ -162,7 +165,7 @@ def _realized(result: tuple[Sequence[Monomial], MonomialIdeal]) -> Rendered:
     basics, ideal = result
     (basic, basic_lines), (gens, gen_lines) = _monomial_list(basics), _monomial_list(ideal.gens)
     payload = {"basic": basic, "generators": gens}
-    return payload, ["basic monomials:", *basic_lines, "minimal generators:", *gen_lines]
+    return payload, chain(["basic monomials:"], basic_lines, ["minimal generators:"], gen_lines)
 
 
 def _macaulay(a: int, d: int, shift: bool, solve: bool, ctx: Context) -> object:
@@ -403,6 +406,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     return status
 
 
+def _write(out: str) -> None:
+    # In pieces a pipe takes whole or not at all (at most PIPE_BUF = 4096
+    # bytes): an unbuffered stdout (python -u, PYTHONUNBUFFERED) hands each
+    # write to the pipe as it is, and a larger one cut short by a reader
+    # leaving would pass unnoticed instead of raising BrokenPipeError.
+    # 1024 characters encode to at most 4096 bytes.
+    write = sys.stdout.write
+    for start in range(0, len(out), 1024):
+        write(out[start:start + 1024])
+
+
 def _answer(args: argparse.Namespace, row: Command, values: list, ctx: Context | None) -> int:
     """Guard, kernel, render and print for converted values; the exit status."""
     agrees = None
@@ -436,10 +450,11 @@ def _answer(args: argparse.Namespace, row: Command, values: list, ctx: Context |
             doc["oracle_agrees"] = agrees
         print(json.dumps(doc))
     else:
-        for line in lines:
-            print(line)
+        text = [*lines]
         if agrees is not None:
-            print("oracle: agree" if agrees else "oracle: MISMATCH")
+            text.append("oracle: agree" if agrees else "oracle: MISMATCH")
+        if text:
+            _write("\n".join(text) + "\n")
     if agrees is False:
         print("oracle cross-check failed", file=sys.stderr)
         return 1

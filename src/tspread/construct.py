@@ -12,24 +12,29 @@ Lex and Borel sets are the t-spread monomials capped by a monomial ``c``
 (w <= c componentwise) between two slex endpoints.  Capped by ``u`` they
 are the monomials Borel-above ``u``; every monomial of a degree is
 Borel-above its slex-least one, so capped by ``min_mon`` they are a stretch
-of the whole lex order.  Two kernels list them.  The successor ``_step``
+of the whole lex order.  Three kernels list them.  The successor ``_step``
 bumps the last index still below its cap and repacks the tail t apart; it
 serves the lazy and single-step calls (``t_next_lex``, ``iter_veronese``).
-The level builder ``_walk`` serves every lex and Borel list: it grows
-all prefixes of the set one position at a time, each by a range of
-indices, so the tuples are made by C-level concatenation and no Python
-code runs per monomial.
+The level builder ``_walk`` serves the Borel lists, and the lex lists at
+t >= 2: it grows all prefixes of the set one position at a time, each by
+a range of indices, so the tuples are made by C-level concatenation and
+no Python code runs per monomial.  At t = 1 the degree-d monomials are
+the d-subsets of [n] in ``itertools.combinations`` order, so ``_lex_list``
+lists a lex interval as a block of combinations per fixed prefix.
 A set may start at any slex rank: the unrank step finds the monomial of a
 given rank in O(d log n) binomials.  Public functions validate once; the
-kernels and shadows never again.
+kernels and shadows never again.  The set tests decide by counts and by
+whole index columns: the segment tests compare the member count with the
+segment's (``_walk_count`` for Borel segments), and the strongly stable
+set test looks up each position's decrements as one column.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import groupby
+from itertools import accumulate, chain, combinations, compress, groupby, repeat
 from math import comb
-from operator import ge, itemgetter, sub
+from operator import add, ge, itemgetter, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -76,8 +81,16 @@ def t_shadow(u: Sequence[int], ctx: Context) -> list[Monomial]:
 
 
 def t_shadow_set(monomials: Iterable[Sequence[int]], ctx: Context) -> list[Monomial]:
-    """Deduplicated union of the shadows of the given monomials."""
-    return sorted({w for u in monomials for w in t_shadow(u, ctx)})
+    """Deduplicated union of the shadows of the given monomials.
+
+    A one-degree batch that passes the column check is shadowed unchecked;
+    anything else goes member by member, so the first offender raises.
+    """
+    items = list(monomials)
+    ms = _batch_slice(items, ctx)
+    if ms is None:
+        return sorted({w for u in items for w in t_shadow(u, ctx)})
+    return sorted({w for u in ms for w in _shadow(u, ctx)})
 
 
 def _step(w: Monomial, caps: Monomial, t: int) -> Monomial | None:
@@ -116,6 +129,80 @@ def _walk(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> list[Monom
         grown += map(last.__add__, zip(range(last[-1] + t, hi + 1)))
         level = grown
     return level
+
+
+def _walk_count(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> int:
+    # len(_walk(top, bottom, caps, t)), nothing built.  The prefixes of a
+    # level fall into three states: top[:q] (tight to top), bottom[:q]
+    # (tight to bottom), one prefix while the two agree, and the free ones
+    # strictly between, counted by last index in free[y].  A free prefix
+    # ending at y extends by every x from y + t to caps[q], so the new
+    # free[x] is the prefix sum of free up to x - t; the tight prefixes add
+    # their own ranges, held in a difference array.  O(d n) integer steps.
+    size = caps[-1] + 2 if caps else 1
+    free = [0] * size
+    tied = True  # top[:q] == bottom[:q]
+    for q, (lo, hi, cap) in enumerate(zip(top, bottom, caps)):
+        if tied and lo == hi:
+            continue
+        diff = [0] * size
+        if tied:  # top and bottom part here; what lies strictly between is free
+            diff[lo + 1] += 1
+            diff[hi] -= 1
+            tied = False
+        else:
+            diff[lo + 1] += 1  # top[:q] by lo < x <= cap
+            diff[cap + 1] -= 1
+            diff[bottom[q - 1] + t] += 1  # bottom[:q] by last + t <= x < hi
+            diff[hi] -= 1
+        sums = list(accumulate(free))
+        shifted = [0] * t + sums[: max(cap + 1 - t, 0)]
+        shifted += [0] * (size - len(shifted))
+        free = list(map(add, shifted, accumulate(diff)))
+    return sum(free) + (1 if tied else 2)
+
+
+def _lex_list(top: Monomial, bottom: Monomial, ctx: Context) -> list[Monomial]:
+    # The slex interval from top down to bottom, ascending as tuples: the
+    # lex lists.  At t = 1 the degree-d monomials are the d-subsets of [n]
+    # in the order itertools.combinations lists them, so the interval is
+    # top; for q = d-1 down past the first position c where top and bottom
+    # part, top[:q] + (x,) + any tail with x > top[q] (the top chain); at c,
+    # the free middle top[c] < x < bottom[c]; for q = c+1 .. d-1,
+    # bottom[:q] + (x,) + any tail with x < bottom[q] (the bottom chain);
+    # bottom.  A tail is any (d-q-1)-subset past x, one C-level block per
+    # x, x capped so the block is nonempty.  The last position takes all its
+    # x in one block of singletons: combinations copies its whole pool, so
+    # an empty tail per x would cost n - x each.  Loops, not recursion: at
+    # t = 1 the degree can reach n.
+    d, n = len(top), ctx.n
+    if ctx.t > 1 or not d:
+        return _walk(top, bottom, min_mon(d, ctx), ctx.t)
+    c = next((q for q, (a, b) in enumerate(zip(top, bottom)) if a != b), d)
+    if c == d:
+        return [top]
+    spans = chain(
+        ((q, top, top[q] + 1, n) for q in range(d - 1, c, -1)),
+        [(c, top, top[c] + 1, bottom[c] - 1)],
+        ((q, bottom, bottom[q - 1] + 1, bottom[q] - 1) for q in range(c + 1, d)),
+    )
+
+    def blocks() -> Iterator[Iterable[Monomial]]:
+        yield (top,)
+        for q, source, lo, hi in spans:
+            k = d - q - 1
+            hi = min(hi, n - k)
+            if lo > hi:
+                continue
+            prefix = source[:q]
+            if not k:
+                yield map(prefix.__add__, zip(range(lo, hi + 1)))
+                continue
+            for x in range(lo, hi + 1):
+                yield map((prefix + (x,)).__add__, combinations(range(x + 1, n + 1), k))
+        yield (bottom,)
+
+    return list(chain.from_iterable(blocks()))
 
 
 def _unrank(r: int, d: int, ctx: Context) -> Monomial:
@@ -164,8 +251,7 @@ def t_veronese(d: int, ctx: Context) -> list[Monomial]:
     """The full degree-d slice of t-spread monomials, descending in slex."""
     if d and 1 + (d - 1) * ctx.t > ctx.n:
         return []
-    low = min_mon(d, ctx)
-    return _walk(max_mon(d, ctx), low, low, ctx.t)
+    return _lex_list(max_mon(d, ctx), min_mon(d, ctx), ctx)
 
 
 def t_veronese_ideal(d: int, ctx: Context) -> MonomialIdeal:
@@ -177,40 +263,62 @@ def t_veronese_ideal(d: int, ctx: Context) -> MonomialIdeal:
 def t_lex_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]:
     """All monomials between ``v`` and ``u`` inclusive in the slex order.
 
-    Built prefix level by prefix level, capped by the slex-least monomial.
+    Listed by the lex list kernel, which builds nothing outside the segment.
     """
     top = require_t_spread(v, ctx)
     bottom = require_t_spread(u, ctx)
     if cmp_slex(top, bottom) < 0:
         raise TSpreadError("segment start lies below its end in the slex order")
-    return _walk(top, bottom, min_mon(len(top), ctx), ctx.t)
+    return _lex_list(top, bottom, ctx)
 
 
 def t_lex_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
     """The smallest lex set containing ``u``: everything slex-above it."""
     m = require_t_spread(u, ctx)
-    return _walk(max_mon(len(m), ctx), m, min_mon(len(m), ctx), ctx.t)
+    return _lex_list(max_mon(len(m), ctx), m, ctx)
+
+
+def _columns(ms: Iterable[Monomial], d: int) -> list[list[int]]:
+    # the index columns of a one-degree set, in its iteration order
+    return [list(map(itemgetter(k), ms)) for k in range(d)]
+
+
+def _batch_slice(items: list, ctx: Context) -> set[Monomial] | None:
+    # The members as a set of index tuples when a batch check column by
+    # column accepts them: one degree, index columns at least t apart, the
+    # first at least 1, the last at most n.  Otherwise None; never raises.
+    # Tuples of exact ints are taken as they are, checked by their types
+    # alone; anything else (bool, float, str, lists, int subclasses) is
+    # converted first.
+    if set(map(type, items)) <= {tuple} and set(map(type, chain.from_iterable(items))) <= {int}:
+        ms = set(items)
+    else:
+        try:
+            ms = {tuple(map(int, u)) for u in items}
+        except Exception:  # the member-by-member path decides it
+            return None
+    degrees = set(map(len, ms))
+    if len(degrees) > 1:
+        return None
+    cols = _columns(ms, degrees.pop() if degrees else 0)
+    if not cols or (
+        min(cols[0]) >= 1
+        and max(cols[-1]) <= ctx.n
+        and all(min(map(sub, b, a)) >= ctx.t for a, b in zip(cols, cols[1:]))
+    ):
+        return ms
+    return None
 
 
 def _spread_slice(monomials: Iterable[Sequence[int]], ctx: Context) -> set[Monomial] | None:
     # The members validated once, or None unless all are t-spread of one
-    # degree.  A batch check column by column accepts the common case:
-    # index columns at least t apart, the first at least 1, the last at most
-    # n.  Anything else takes the member-by-member path, which decides it
-    # and raises as before, for the first offending member in input order.
+    # degree.  The batch check accepts the common case; anything else takes
+    # the member-by-member path, which decides it and raises as before, for
+    # the first offending member in input order.
     items = list(monomials)
-    try:
-        ms = {tuple(map(int, u)) for u in items}
-    except Exception:  # re-raised below, in input order
-        ms = None
-    if ms is not None and len(set(map(len, ms))) < 2:
-        cols = list(zip(*ms))
-        if not cols or (
-            min(cols[0]) >= 1
-            and max(cols[-1]) <= ctx.n
-            and all(min(map(sub, b, a)) >= ctx.t for a, b in zip(cols, cols[1:]))
-        ):
-            return ms
+    ms = _batch_slice(items, ctx)
+    if ms is not None:
+        return ms
     ms = {validate_monomial(m, ctx) for m in items}
     if len({len(m) for m in ms}) > 1 or not all(_gaps_at_least(m, ctx.t) for m in ms):
         return None
@@ -266,26 +374,21 @@ def t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> list[Monomial]
 
 
 def is_t_ss_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
-    """Whether the set is the strongly stable segment between its extremes."""
+    """Whether the set is the strongly stable segment between its extremes.
+
+    When the column maxima are the slex-least member, every member is
+    Borel-above it, so the set lies in the segment and fills it exactly when
+    it has as many members as the segment: a count, not a construction.
+    """
     ms = _spread_slice(monomials, ctx)
     if not ms:
         return ms is not None  # the empty set is a segment
-    top, bottom = slex_max(ms), slex_min(ms)
-    if not borel_geq(top, bottom):
+    # every member is Borel-above the slex-least one exactly when the
+    # column maxima are a member: then they are that one
+    bottom = tuple(map(max, _columns(ms, len(next(iter(ms))))))
+    if bottom not in ms:
         return False
-    seg = _walk(top, bottom, bottom, ctx.t)
-    return len(seg) == len(ms) and ms.issuperset(seg)
-
-
-def _decrements(u: Monomial, t: int) -> Iterator[Monomial]:
-    # u with one index lowered by one, where the result stays t-spread: every
-    # exchange move of u is reached by a chain of these (lower the first index
-    # above the target), and each of them is an exchange move
-    prev = 1 - t
-    for k, i in enumerate(u):
-        if i - 1 - prev >= t:
-            yield u[:k] + (i - 1,) + u[k + 1:]
-        prev = i
+    return len(ms) == _walk_count(slex_max(ms), bottom, bottom, ctx.t)
 
 
 def _has_prefix_in(w: Monomial, gens: set[Monomial]) -> bool:
@@ -332,10 +435,22 @@ def is_t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
 
     Closure under the single decrements of its members (one index lowered
     by one, staying t-spread) is the same thing, and there are at most d of
-    them per member.
+    them per member.  They are built a column at a time: position k of every
+    member lowered, kept where it stays t apart from position k - 1, and
+    zipped back with the other columns.
     """
     ms = _spread_slice(monomials, ctx)
-    return ms is not None and all(w in ms for u in ms for w in _decrements(u, ctx.t))
+    if not ms:
+        return ms is not None
+    t = ctx.t
+    cols = _columns(ms, len(next(iter(ms))))
+    decrements = []
+    for k, col in enumerate(cols):
+        lowered = list(map(add, col, repeat(-1)))
+        prev = cols[k - 1] if k else repeat(1 - t)
+        keep = map(t.__le__, map(sub, lowered, prev))
+        decrements.append(compress(zip(*cols[:k], lowered, *cols[k + 1:]), keep))
+    return ms.issuperset(chain.from_iterable(decrements))
 
 
 def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
@@ -370,7 +485,7 @@ def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
     for g in ideal.gens:
         prev = 1 - t
         for k, i in enumerate(g):
-            if i - 1 - prev >= t:  # the decrements of _decrements, inlined
+            if i - 1 - prev >= t:  # g with index k lowered by one stays t-spread
                 # the prefixes w[:j], j > k, of the decrement w, shortest first
                 w = g[:k] + (i - 1,)
                 if w not in gens:

@@ -40,9 +40,8 @@ from .core import (
     Monomial,
     MonomialIdeal,
     TSpreadError,
-    min_mon,
 )
-from .construct import _ek_members, _unrank, _walk, is_t_ss_ideal, t_spread_component
+from .construct import _ek_members, _lex_list, _unrank, is_t_ss_ideal, t_spread_component
 from .count import BinomialTerm, binomial, card_veronese
 
 
@@ -145,7 +144,7 @@ def _lex_ideal(f: list[int], ctx: Context) -> MonomialIdeal:
         size = full - x
         if shadow < size:
             first, last = _unrank(shadow, j, ctx), _unrank(size - 1, j, ctx)
-            gens += _walk(first, last, min_mon(j, ctx), ctx.t)
+            gens += _lex_list(first, last, ctx)
     # minimal: a t-spread multiple of an earlier generator is in the shadow
     return MonomialIdeal._of_minimal(ctx, tuple(gens))
 

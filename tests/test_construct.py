@@ -374,6 +374,77 @@ def test_level_builder_reaches_large_indices():
     assert t_lex_seg((1, 999990), (2, 3), big) == [(1, x) for x in range(999990, 10**6 + 1)] + [(2, 3)]
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lex_list_matches_level_builder_on_every_interval(n):
+    # at t = 1 the lex lists come from itertools.combinations, not _walk
+    ctx = Context(n, 1)
+    for d in range(n + 1):
+        chain = enumerate_veronese(d, ctx)
+        low = min_mon(d, ctx)
+        for i, v in enumerate(chain):
+            for u in chain[i:]:
+                assert construct._lex_list(v, u, ctx) == construct._walk(v, u, low, 1), (v, u)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=walk_cases(n_max=40, t_max=1))
+def test_lex_list_matches_level_builder_hypothesis(case):
+    ctx, v, u, w = case
+    low = min_mon(len(u), ctx)
+    assert construct._lex_list(v, u, ctx) == construct._walk(v, u, low, 1)
+    top = max_mon(len(w), ctx)
+    assert construct._lex_list(top, w, ctx) == construct._walk(top, w, low, 1)
+
+
+def test_lex_list_at_degree_n_needs_no_recursion():
+    # at t = 1 the degree reaches n, past the default recursion limit of 1000
+    ctx = Context(1201, 1)
+    assert t_veronese(1201, ctx) == [tuple(range(1, 1202))]
+    lex = t_veronese(1200, ctx)
+    assert len(lex) == 1201 and lex[0] == tuple(range(1, 1201)) and lex[-1] == tuple(range(2, 1202))
+
+
+@pytest.mark.parametrize("n,t", GRID)
+def test_walk_count_matches_level_builder(n, t):
+    ctx = Context(n, t)
+    count, walk = construct._walk_count, construct._walk
+    for d in range(ctx.max_degree() + 1):
+        chain = enumerate_veronese(d, ctx)
+        low = min_mon(d, ctx)
+        for j, u in enumerate(chain):
+            for v in chain[: j + 1]:
+                assert count(v, u, low, t) == len(walk(v, u, low, t)), (v, u)
+                if borel_geq(v, u):
+                    assert count(v, u, u, t) == len(walk(v, u, u, t)), (v, u)
+
+
+@pytest.mark.parametrize("n,t", GRID)
+def test_is_t_ss_seg_matches_built_segments(n, t):
+    # every Borel segment is one, and without a middle member it is not;
+    # every pair is one exactly when it is the whole segment it spans
+    ctx = Context(n, t)
+    for d in range(ctx.max_degree() + 1):
+        chain = enumerate_veronese(d, ctx)
+        for j, u in enumerate(chain):
+            for v in chain[: j + 1]:
+                seg = construct._walk(v, u, u, t) if borel_geq(v, u) else None
+                assert is_t_ss_seg([v, u], ctx) == (seg is not None and set(seg) == {v, u})
+                if seg is not None:
+                    assert is_t_ss_seg(seg[::-1], ctx)
+                    if len(seg) > 2:
+                        assert not is_t_ss_seg(seg[:1] + seg[2:], ctx)
+
+
+def test_is_t_ss_seg_builds_no_segment(monkeypatch):
+    # two members at n = 40 span a segment of 62 832 monomials
+    def refuse(*_):
+        raise AssertionError("segment walked")
+
+    monkeypatch.setattr(construct, "_walk", refuse)
+    assert not is_t_ss_seg([(1, 2, 3, 4, 5), (6, 12, 18, 24, 30)], Context(40, 1))
+    assert construct._walk_count((1, 2, 3, 4, 5), (6, 12, 18, 24, 30), (6, 12, 18, 24, 30), 1) == 62832
+
+
 def per_member_slice(monomials, ctx):
     """``_spread_slice`` member by member, as it was before the batch check."""
     ms = {validate_monomial(m, ctx) for m in monomials}
@@ -387,6 +458,10 @@ def outcome(fn, *args):
         return "value", fn(*args)
     except Exception as exc:  # the type and message are what is compared
         return "raised", type(exc), str(exc)
+
+
+class Index(int):
+    """An int subclass: equal to its value, but not an exact int."""
 
 
 @st.composite
@@ -404,7 +479,12 @@ def slice_inputs(draw, n_max=12, t_max=4):
     junk = st.one_of(st.tuples(), st.lists(entry, max_size=4).map(tuple), st.lists(entry, max_size=4))
     # strictly increasing inside [1, n], gaps below t allowed
     increasing = st.lists(st.integers(1, n), max_size=4, unique=True).map(lambda m: tuple(sorted(m)))
-    members = draw(st.lists(st.one_of(valid, valid, increasing, junk), max_size=8))
+    # valid indices of another type: the exact-int fast path must not take them
+    retyped = st.builds(
+        lambda m, kind: tuple(map(kind, m)) if kind is not list else list(m),
+        valid, st.sampled_from([bool, float, Index, list]),
+    )
+    members = draw(st.lists(st.one_of(valid, valid, increasing, junk, retyped), max_size=8))
     if draw(st.booleans()):  # repeats
         members += members[: draw(st.integers(0, len(members)))]
     return members, ctx
@@ -414,10 +494,26 @@ def slice_inputs(draw, n_max=12, t_max=4):
 @given(case=slice_inputs())
 def test_batch_slice_check_matches_member_by_member(case):
     members, ctx = case
-    assert outcome(construct._spread_slice, members, ctx) == outcome(per_member_slice, members, ctx)
-    assert outcome(construct._spread_slice, iter(members), ctx) == outcome(
-        per_member_slice, members, ctx
-    )
+    # (1.0, 2.0) and (True,) equal their int tuples, so the types are compared too
+    exact = [m for m in members if type(m) is tuple and all(type(i) is int for i in m)]
+    for given_members, want in [(members, members), (iter(members), members), (exact, exact)]:
+        got = outcome(construct._spread_slice, given_members, ctx)
+        assert got == outcome(per_member_slice, want, ctx)
+        if got[0] == "value" and got[1] is not None:
+            assert {type(m) for m in got[1]} <= {tuple}
+            assert {type(i) for m in got[1] for i in m} <= {int}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=slice_inputs())
+def test_shadow_set_matches_member_by_member(case):
+    members, ctx = case
+
+    def per_member(monomials, ctx):
+        return sorted({w for u in monomials for w in t_shadow(u, ctx)})
+
+    assert outcome(t_shadow_set, members, ctx) == outcome(per_member, members, ctx)
+    assert outcome(t_shadow_set, iter(members), ctx) == outcome(per_member, members, ctx)
 
 
 @pytest.mark.parametrize("n,t", GRID)
