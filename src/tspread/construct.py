@@ -24,17 +24,21 @@ lists a lex interval as a block of combinations per fixed prefix.
 A set may start at any slex rank: the unrank step finds the monomial of a
 given rank in O(d log n) binomials.  Public functions validate once; the
 kernels and shadows never again.  The set tests decide by counts and by
-whole index columns: the segment tests compare the member count with the
-segment's (``_walk_count`` for Borel segments), and the strongly stable
-set test looks up each position's decrements as one column.
+whole index columns, built once by the batch check: the segment tests
+compare the member count with the segment's (``_walk_count`` for Borel
+segments), and the strongly stable set test looks up each position's
+decrements as one column.  A shadow set is emitted as ascending runs, one
+family per insertion position, that a single sort merges (``_shadow_runs``);
+the smallest strongly stable set containing given monomials is one
+greatest-caps walk per degree (``_fresh``), not a union of Borel sets.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain, combinations, compress, groupby, repeat
+from itertools import accumulate, chain, combinations, compress, groupby, islice, repeat
 from math import comb
-from operator import add, ge, itemgetter, sub
+from operator import add, ge, itemgetter, ne, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -81,16 +85,60 @@ def t_shadow(u: Sequence[int], ctx: Context) -> list[Monomial]:
 
 
 def t_shadow_set(monomials: Iterable[Sequence[int]], ctx: Context) -> list[Monomial]:
-    """Deduplicated union of the shadows of the given monomials.
+    """Deduplicated union of the shadows of the given monomials, ascending.
 
-    A one-degree batch that passes the column check is shadowed unchecked;
-    anything else goes member by member, so the first offender raises.
+    A one-degree batch that passes the column check goes to the run-merge
+    kernel ``_shadow_runs``; anything else goes member by member, so the
+    first offender raises.
     """
     items = list(monomials)
-    ms = _batch_slice(items, ctx)
-    if ms is None:
+    checked = _batch_slice(items, ctx)
+    if checked is None:
         return sorted({w for u in items for w in t_shadow(u, ctx)})
-    return sorted({w for u in ms for w in _shadow(u, ctx)})
+    return _shadow_runs(checked[0], ctx)
+
+
+def _shadow_runs(ms: set[Monomial], ctx: Context) -> list[Monomial]:
+    # The shadow set of t-spread monomials of one degree d, ascending.  The
+    # shadows that insert the new index h at position r are u[:r] + (h,) +
+    # u[r:], u[r-1] + t <= h <= u[r] - t (u[-1] := 1 - t, u[d] := n + t), and
+    # each position is emitted as ascending runs of the sorted members:
+    # positions 0 and 1 per group of members sharing the prefix u[:r], by h
+    # ascending, each h one C-level block over a tail of the group's
+    # suffixes u[r:]; position d per member, one C-level block over a table
+    # of singletons (h,); positions 2 .. d-1 per member, by h.  One sort
+    # merges the runs, which timsort finds, and leaves the duplicates (the
+    # same shadow from several members) adjacent: a shadow is kept unless
+    # it equals the next one.
+    n, t = ctx.n, ctx.t
+    members = sorted(ms)
+    if not members:
+        return []
+    d = len(members[0])
+    if not d:
+        return [(h,) for h in range(1, n + 1)]
+    cols = list(zip(*members))
+    base = min(cols[-1]) + t
+    singles = tuple(zip(range(base, n + 1)))
+
+    def runs() -> Iterator[Iterable[Monomial]]:
+        for r in range(min(d, 2)):
+            tail = itemgetter(slice(r, None))
+            for p, group in groupby(members, itemgetter(slice(None, r))):
+                tails = list(map(tail, group))
+                firsts = list(map(itemgetter(0), tails))
+                for h in range(p[-1] + t if p else 1, firsts[-1] - t + 1):
+                    yield map((p + (h,)).__add__, tails[bisect_left(firsts, h + t):])
+        for r in range(2, d):
+            for u, a, b in zip(members, cols[r - 1], cols[r]):
+                if b - a >= 2 * t:
+                    p, s = u[:r], u[r:]
+                    yield [p + (h,) + s for h in range(a + t, b - t + 1)]
+        for u in members:
+            yield map(u.__add__, singles[u[-1] + t - base:])
+
+    merged = sorted(chain.from_iterable(runs()))
+    return [*compress(merged, map(ne, merged, islice(merged, 1, None))), *merged[-1:]]
 
 
 def _step(w: Monomial, caps: Monomial, t: int) -> Monomial | None:
@@ -278,13 +326,9 @@ def t_lex_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
     return _lex_list(max_mon(len(m), ctx), m, ctx)
 
 
-def _columns(ms: Iterable[Monomial], d: int) -> list[list[int]]:
-    # the index columns of a one-degree set, in its iteration order
-    return [list(map(itemgetter(k), ms)) for k in range(d)]
-
-
-def _batch_slice(items: list, ctx: Context) -> set[Monomial] | None:
-    # The members as a set of index tuples when a batch check column by
+def _batch_slice(items: list, ctx: Context) -> tuple[set[Monomial], list[tuple[int, ...]]] | None:
+    # The members as a set of index tuples, with its index columns (zip(*ms),
+    # one pass, in the set's iteration order), when a batch check column by
     # column accepts them: one degree, index columns at least t apart, the
     # first at least 1, the last at most n.  Otherwise None; never raises.
     # Tuples of exact ints are taken as they are, checked by their types
@@ -297,32 +341,33 @@ def _batch_slice(items: list, ctx: Context) -> set[Monomial] | None:
             ms = {tuple(map(int, u)) for u in items}
         except Exception:  # the member-by-member path decides it
             return None
-    degrees = set(map(len, ms))
-    if len(degrees) > 1:
+    if len(set(map(len, ms))) > 1:
         return None
-    cols = _columns(ms, degrees.pop() if degrees else 0)
+    cols = list(zip(*ms))
     if not cols or (
         min(cols[0]) >= 1
         and max(cols[-1]) <= ctx.n
         and all(min(map(sub, b, a)) >= ctx.t for a, b in zip(cols, cols[1:]))
     ):
-        return ms
+        return ms, cols
     return None
 
 
-def _spread_slice(monomials: Iterable[Sequence[int]], ctx: Context) -> set[Monomial] | None:
-    # The members validated once, or None unless all are t-spread of one
-    # degree.  The batch check accepts the common case; anything else takes
-    # the member-by-member path, which decides it and raises as before, for
-    # the first offending member in input order.
+def _spread_slice(
+    monomials: Iterable[Sequence[int]], ctx: Context
+) -> tuple[set[Monomial], list[tuple[int, ...]]] | None:
+    # The members validated once, with their index columns, or None unless
+    # all are t-spread of one degree.  The batch check accepts the common
+    # case; anything else takes the member-by-member path, which decides it
+    # and raises as before, for the first offending member in input order.
     items = list(monomials)
-    ms = _batch_slice(items, ctx)
-    if ms is not None:
-        return ms
+    checked = _batch_slice(items, ctx)
+    if checked is not None:
+        return checked
     ms = {validate_monomial(m, ctx) for m in items}
     if len({len(m) for m in ms}) > 1 or not all(_gaps_at_least(m, ctx.t) for m in ms):
         return None
-    return ms
+    return ms, list(zip(*ms))
 
 
 def is_t_lex_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
@@ -331,9 +376,10 @@ def is_t_lex_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     The members all lie in that interval, so they fill it exactly when there
     are as many of them as the interval holds: a count, not a construction.
     """
-    ms = _spread_slice(monomials, ctx)
-    if ms is None:
+    checked = _spread_slice(monomials, ctx)
+    if checked is None:
         return False
+    ms = checked[0]
     # with two members or more the degree is positive, as counting needs
     return len(ms) < 2 or len(ms) == (
         count_t_lex_mon(slex_min(ms), ctx) - count_t_lex_mon(slex_max(ms), ctx) + 1
@@ -369,8 +415,25 @@ def t_ss_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
 
 
 def t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> list[Monomial]:
-    """Smallest strongly stable set containing all the given monomials."""
-    return sorted({w for u in monomials for w in t_ss_mon(u, ctx)})
+    """Smallest strongly stable set containing all the given monomials, ascending.
+
+    The members are validated in input order, so the first offender raises.
+    Each degree's members are the caps of one greatest-caps walk
+    (``_fresh`` with nothing pruned): the monomials Borel-above some member,
+    each built once, however many members it lies above.  One sort merges
+    the degrees.
+    """
+    by_degree: dict[int, set[Monomial]] = {}
+    for u in monomials:
+        m = require_t_spread(u, ctx)
+        by_degree.setdefault(len(m), set()).add(m)
+    out: list[Monomial] = []
+    for d, caps in by_degree.items():
+        if d:
+            _fresh(sorted(caps), set(), ctx.t, out)
+        else:
+            out.append(())
+    return sorted(out)
 
 
 def is_t_ss_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
@@ -380,12 +443,15 @@ def is_t_ss_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     Borel-above it, so the set lies in the segment and fills it exactly when
     it has as many members as the segment: a count, not a construction.
     """
-    ms = _spread_slice(monomials, ctx)
+    checked = _spread_slice(monomials, ctx)
+    if checked is None:
+        return False
+    ms, cols = checked
     if not ms:
-        return ms is not None  # the empty set is a segment
+        return True  # the empty set is a segment
     # every member is Borel-above the slex-least one exactly when the
     # column maxima are a member: then they are that one
-    bottom = tuple(map(max, _columns(ms, len(next(iter(ms))))))
+    bottom = tuple(map(max, cols))
     if bottom not in ms:
         return False
     return len(ms) == _walk_count(slex_max(ms), bottom, bottom, ctx.t)
@@ -439,11 +505,11 @@ def is_t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     member lowered, kept where it stays t apart from position k - 1, and
     zipped back with the other columns.
     """
-    ms = _spread_slice(monomials, ctx)
-    if not ms:
-        return ms is not None
+    checked = _spread_slice(monomials, ctx)
+    if checked is None:
+        return False
+    ms, cols = checked
     t = ctx.t
-    cols = _columns(ms, len(next(iter(ms))))
     decrements = []
     for k, col in enumerate(cols):
         lowered = list(map(add, col, repeat(-1)))

@@ -464,6 +464,15 @@ class Index(int):
     """An int subclass: equal to its value, but not an exact int."""
 
 
+def spread_monomial(n, t, d):
+    """A strategy for t-spread monomials of degree d over n variables."""
+    # a d-subset of [n - (d-1)(t-1)], spread out by k(t-1) at position k
+    return st.builds(
+        lambda pick: tuple(x + k * (t - 1) for k, x in enumerate(sorted(pick))),
+        st.lists(st.integers(1, n - max(d - 1, 0) * (t - 1)), min_size=d, max_size=d, unique=True),
+    )
+
+
 @st.composite
 def slice_inputs(draw, n_max=12, t_max=4):
     """(members, ctx): often a valid slice, else anything the boundary may see."""
@@ -471,10 +480,7 @@ def slice_inputs(draw, n_max=12, t_max=4):
     t = draw(st.integers(1, t_max))
     ctx = Context(n, t)
     d = draw(st.integers(0, ctx.max_degree()))
-    valid = st.builds(
-        lambda pick: tuple(x + k * (t - 1) for k, x in enumerate(sorted(pick))),
-        st.lists(st.integers(1, n - max(d - 1, 0) * (t - 1)), min_size=d, max_size=d, unique=True),
-    )
+    valid = spread_monomial(n, t, d)
     entry = st.one_of(st.integers(-1, n + 2), st.sampled_from(["3", True, False, "x", None]))
     junk = st.one_of(st.tuples(), st.lists(entry, max_size=4).map(tuple), st.lists(entry, max_size=4))
     # strictly increasing inside [1, n], gaps below t allowed
@@ -498,22 +504,141 @@ def test_batch_slice_check_matches_member_by_member(case):
     exact = [m for m in members if type(m) is tuple and all(type(i) is int for i in m)]
     for given_members, want in [(members, members), (iter(members), members), (exact, exact)]:
         got = outcome(construct._spread_slice, given_members, ctx)
+        if got[0] == "value" and got[1] is not None:
+            ms, cols = got[1]
+            # the columns are the set's, position by position, in its iteration order
+            assert cols == list(zip(*ms))
+            got = ("value", ms)
         assert got == outcome(per_member_slice, want, ctx)
         if got[0] == "value" and got[1] is not None:
             assert {type(m) for m in got[1]} <= {tuple}
             assert {type(i) for m in got[1] for i in m} <= {int}
 
 
+def member_shadows(monomials, ctx):
+    """The shadow set member by member: each shadow built, deduplicated by a set."""
+    return sorted({w for u in monomials for w in t_shadow(u, ctx)})
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(case=slice_inputs())
 def test_shadow_set_matches_member_by_member(case):
     members, ctx = case
+    assert outcome(t_shadow_set, members, ctx) == outcome(member_shadows, members, ctx)
+    assert outcome(t_shadow_set, iter(members), ctx) == outcome(member_shadows, members, ctx)
 
-    def per_member(monomials, ctx):
-        return sorted({w for u in monomials for w in t_shadow(u, ctx)})
 
-    assert outcome(t_shadow_set, members, ctx) == outcome(per_member, members, ctx)
-    assert outcome(t_shadow_set, iter(members), ctx) == outcome(per_member, members, ctx)
+@st.composite
+def spread_slices(draw, n_max=14, t_max=4, size_max=12):
+    """(members, ctx): t-spread monomials of one degree, 0 included, with repeats."""
+    n = draw(st.integers(1, n_max))
+    t = draw(st.integers(1, t_max))
+    ctx = Context(n, t)
+    d = draw(st.integers(0, ctx.max_degree()))
+    members = draw(st.lists(spread_monomial(n, t, d), max_size=size_max))
+    if draw(st.booleans()):  # repeats
+        members += members[: draw(st.integers(0, len(members)))]
+    return members, ctx
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(case=spread_slices())
+def test_shadow_kernel_matches_oracle_and_member_path(case):
+    members, ctx = case
+    got = t_shadow_set(members, ctx)
+    assert got == construct._shadow_runs(set(members), ctx)
+    assert got == member_shadows(members, ctx)
+    assert got == sorted(oracle_shadow(members, ctx))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=spread_slices(n_max=40, size_max=60))
+def test_shadow_kernel_matches_member_path_at_larger_n(case):
+    members, ctx = case
+    assert t_shadow_set(members, ctx) == member_shadows(members, ctx)
+
+
+@pytest.mark.parametrize(
+    "members,ctx,want",
+    [
+        ([], Context(6, 2), []),
+        ([()], Context(4, 3), [(1,), (2,), (3,), (4,)]),
+        ([(), ()], Context(2, 1), [(1,), (2,)]),
+        ([(3,)], Context(5, 2), [(1, 3), (3, 5)]),
+        ([(2, 4), (2, 4)], Context(5, 1), [(1, 2, 4), (2, 3, 4), (2, 4, 5)]),
+        ([(1, 4, 7)], Context(7, 3), []),
+    ],
+)
+def test_shadow_set_special_inputs(members, ctx, want):
+    assert t_shadow_set(members, ctx) == want == member_shadows(members, ctx)
+
+
+@pytest.mark.parametrize("n,t", GRID)
+def test_shadow_of_a_veronese_slice_is_the_next_slice(n, t):
+    ctx = Context(n, t)
+    for d in range(ctx.max_degree() + 1):
+        assert t_shadow_set(t_veronese(d, ctx), ctx) == t_veronese(d + 1, ctx)
+
+
+def test_shadow_set_serves_a_valid_batch_by_the_kernel(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("shadow built member by member")
+
+    ctx = Context(30, 2)
+    members = t_veronese(4, ctx)[::37]
+    want = member_shadows(members, ctx)
+    monkeypatch.setattr(construct, "_shadow", refuse)
+    assert t_shadow_set(members, ctx) == want
+    with pytest.raises(AssertionError, match="member by member"):
+        t_shadow_set(members + [(1, 3, 5)], ctx)  # mixed degrees take the per-member path
+
+
+def borel_union(monomials, ctx):
+    """The smallest strongly stable set as the union of one Borel set per member."""
+    return sorted({w for u in monomials for w in t_ss_mon(u, ctx)})
+
+
+@pytest.mark.parametrize("n,t", GRID)
+def test_ss_set_is_the_union_of_borel_sets(n, t):
+    ctx = Context(n, t)
+    ms = [()] + list(spread_monomials(n, t))
+    k = len(ms)
+    groups = [[m] for m in ms] + [[ms[i], ms[(5 * i + 1) % k], ms[(11 * i + 3) % k]] for i in range(k)]
+    for group in groups:
+        assert t_ss_set(group, ctx) == borel_union(group, ctx)
+
+
+@st.composite
+def mixed_members(draw, n_max=14, t_max=4):
+    """(members, ctx): t-spread monomials of any degrees, sometimes one that is not."""
+    n = draw(st.integers(1, n_max))
+    t = draw(st.integers(1, t_max))
+    ctx = Context(n, t)
+    one = st.integers(0, ctx.max_degree()).flatmap(lambda d: spread_monomial(n, t, d))
+    bad = st.lists(st.integers(0, n + 1), max_size=4).map(tuple)
+    members = draw(st.lists(st.one_of(one, one, one, bad), max_size=6))
+    if draw(st.booleans()):  # repeats
+        members += members[: draw(st.integers(0, len(members)))]
+    return members, ctx
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=mixed_members())
+def test_ss_set_matches_borel_union_hypothesis(case):
+    members, ctx = case
+    assert outcome(t_ss_set, members, ctx) == outcome(borel_union, members, ctx)
+    assert outcome(t_ss_set, iter(members), ctx) == outcome(borel_union, members, ctx)
+
+
+def test_ss_set_walks_no_borel_set_per_member(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("one Borel set per member")
+
+    ctx = Context(40, 2)
+    members = [(5, 12, 20, 28, 36), (3, 9, 18, 27, 40), (7, 15, 25, 33, 39), (1, 30), ()]
+    want = borel_union(members, ctx)
+    monkeypatch.setattr(construct, "t_ss_mon", refuse)
+    assert t_ss_set(members, ctx) == want
 
 
 @pytest.mark.parametrize("n,t", GRID)
