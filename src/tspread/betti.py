@@ -9,9 +9,11 @@ per-degree top indices, and prescribed corner configurations are realized
 greedily and verified by a round trip through the detector.
 
 No generator scan is left.  Whether the ideal is strongly stable at all is
-decided with d^2 hash lookups per generator (single decrements and prefix
-membership, see ``construct.is_t_ss_ideal``), so every invariant here is
-linear in the number of generators.  Realization tests its candidates
+decided by column passes over each degree's generators (single decrements
+and prefix membership on integer keys, see ``construct.is_t_ss_ideal``),
+and the table, degree sequence and corners all read one count of the
+generators' (degree, max index) shapes, so every invariant here is linear
+in the number of generators.  Realization tests its candidates
 against the ideal built so far the same way: that ideal is strongly stable
 by construction, so a t-spread monomial lies in it exactly when one of its
 prefixes is a generator.  Its new generators come from the same pruned walk
@@ -22,7 +24,6 @@ again.
 """
 from __future__ import annotations
 
-from collections import Counter
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
@@ -35,7 +36,7 @@ from .core import (
     NotStronglyStableError,
     TSpreadError,
 )
-from .construct import _fresh, _has_prefix_in, is_t_ss_ideal, iter_veronese
+from .construct import _fresh, _has_prefix_in, _shapes, is_t_ss_ideal, iter_veronese
 
 
 class BettiTable(Frozen):
@@ -152,7 +153,7 @@ def graded_betti(ideal: MonomialIdeal) -> BettiTable:
     t = ideal.ctx.t
     entries: dict[tuple[int, int], int] = {}
     # generators sharing degree and largest index contribute alike
-    for (j, top), c in Counter((len(u), u[-1]) for u in ideal.gens).items():
+    for (j, top), c in _shapes(ideal.gens).items():
         reach = top - t * (j - 1) - 1
         for i in range(reach + 1):
             entries[(i, j)] = entries.get((i, j), 0) + c * comb(reach, i)
@@ -165,11 +166,12 @@ def degree_sequence(ideal: MonomialIdeal) -> list[tuple[int, int, int]]:
     The slot of degree j is max-index - t(j-1) - 1, the homological position
     a corner in that degree would occupy.
     """
-    out = []
-    for d in ideal.degrees():
-        top = max(g[-1] for g in ideal.gens_of_degree(d))
-        out.append((d, top, top - ideal.ctx.t * (d - 1) - 1))
-    return out
+    return _degree_sequence(_shapes(ideal.gens), ideal.ctx.t)
+
+
+def _degree_sequence(shapes: Mapping[tuple[int, int], int], t: int) -> list[tuple[int, int, int]]:
+    # the shapes in ascending order leave each degree's largest max index last
+    return [(d, top, top - t * (d - 1) - 1) for d, top in dict(sorted(shapes)).items()]
 
 
 def extremal_corners(ideal: MonomialIdeal) -> CornerConfig:
@@ -183,18 +185,17 @@ def extremal_corners(ideal: MonomialIdeal) -> CornerConfig:
 
 
 def _corners(ideal: MonomialIdeal) -> CornerConfig:
+    # a corner's value counts the generators of its degree and top index
+    shapes = _shapes(ideal.gens)
+    t = ideal.ctx.t
     kept: list[tuple[int, int]] = []
     best = -1
-    for d, _, k in reversed(degree_sequence(ideal)):
+    for d, _, k in reversed(_degree_sequence(shapes, t)):
         if k > best:
             kept.append((k, d))
             best = k
     kept.reverse()
-    t = ideal.ctx.t
-    values = tuple(
-        sum(1 for g in ideal.gens_of_degree(l) if g[-1] == k + t * (l - 1) + 1)
-        for k, l in kept
-    )
+    values = tuple(shapes[(l, k + t * (l - 1) + 1)] for k, l in kept)
     return CornerConfig(tuple(kept), values)
 
 

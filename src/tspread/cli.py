@@ -76,7 +76,7 @@ def _ideal(source: str, ctx: Context, fail: Fail) -> MonomialIdeal:
         fail(f"cannot read ideal from {source!r}: {exc}")
     gens = [_monomial(line, ctx, fail) for line in text.splitlines() if line.strip()]
     try:
-        return MonomialIdeal._of_valid(ctx, gens)  # each line validated just now
+        return MonomialIdeal(ctx, gens)
     except TSpreadError as exc:
         fail(f"bad ideal input: {exc}")
 
@@ -332,7 +332,7 @@ COMMANDS: dict[str, Command] = {
         _monomial_list, size=_lex_ideal_size),
     "is-lex-ideal": Command(
         "whether every degree slice is an initial lex segment", (IDEAL,),
-        lambda ideal, ctx: construct.is_t_lex_ideal(ideal), _bool, size=_slices_size),
+        lambda ideal, ctx: construct.is_t_lex_ideal(ideal), _bool),
 }
 
 

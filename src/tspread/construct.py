@@ -31,6 +31,10 @@ decrements as one column.  A shadow set is emitted as ascending runs, one
 family per insertion position, that a single sort merges (``_shadow_runs``);
 the smallest strongly stable set containing given monomials is one
 greatest-caps walk per degree (``_fresh``), not a union of Borel sets.
+The stability test of an ideal works on columns too: each degree's
+generators become integer keys, built by multiply-add passes over their
+index columns, and the single decrements of each position are counted
+among the keys in one C-level pass per prefix length (``is_t_ss_ideal``).
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, combinations, compress, groupby, islice, repeat
 from math import comb
-from operator import add, ge, itemgetter, ne, sub
+from operator import add, countOf, ge, itemgetter, mul, ne, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -47,6 +51,8 @@ from .core import (
     Monomial,
     MonomialIdeal,
     TSpreadError,
+    _FEW,
+    _columns,
     _gaps_at_least,
     borel_geq,
     cmp_slex,
@@ -522,7 +528,9 @@ def is_t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
 def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
     """Whether the ideal is t-strongly stable.
 
-    Two lemmas reduce the test to d^2 hash lookups per minimal generator.
+    Two lemmas reduce the test to lookups of the generators' single
+    decrements, and an integer encoding makes each lookup one C-level pass
+    over a whole degree's index columns.
 
     *Single decrements suffice.*  Every t-spread monomial Borel-above g is
     reached from g by lowering one index by 1 at a time while staying
@@ -540,10 +548,39 @@ def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
     every generator has a generator prefix.  If it is, the decrements are
     members and so have one; if they all have one, they are members.
 
-    *Tail prefixes only.*  Lowering index k of g leaves ``w[:j] = g[:j]``
-    for j <= k, a proper prefix of g, and no minimal generator has another
-    as a proper prefix; so only j = k+1, ..., d are looked up.
+    *Which prefixes.*  Lowering index k of a degree-d generator g leaves
+    ``w[:j] = g[:j]`` for j <= k, a proper prefix of g, and no minimal
+    generator has another as a proper prefix; a prefix of a length that is
+    no generator degree is no generator.  So only the lengths j with
+    k < j <= d that are generator degrees are looked up: one lookup per
+    decrement when the generators share one degree.
+
+    *Keys.*  With B = n + 1 a degree-d monomial g is the integer
+    ``B^d + sum g_i B^(d-1-i)``: a leading digit 1, then its indices as
+    base-B digits.  One add and d - 1 multiply-add passes over the index
+    columns build it, and the keys of g's prefixes on the way.  Digits lie
+    in [0, n], so degree-d keys lie in [B^d, 2 B^d) and keys of different
+    degrees never collide; the leading 1 keeps an index lowered to 0 from
+    reading as a shorter monomial.  The length-j prefix of g with index k
+    lowered (k < j) is the key of ``g[:j]`` minus B^(j-1-k).
+
+    *Counts.*  A decrement has at most one generator prefix (a shorter one
+    would divide the longer), and one that is not t-spread has none: its
+    prefixes past k hold the broken gap, or a digit 0 at k = 0.  So the
+    decrements of position k that stay t-spread (all but those of the
+    generators whose gap there is exactly t, or whose first index is 1) all
+    have a generator prefix exactly when the lookups of all the lengths j
+    find as many keys.
+
+    The degrees go up one at a time, and each degree's keys join the set
+    before its decrements are looked up: every prefix looked up has degree
+    at most d, so a degree that fails returns before any higher degree is
+    encoded.  Ideals of fewer than ``core._FEW`` generators are tested one
+    generator at a time instead: each decrement w of g, then its prefixes
+    ``w[:j]``, j > k, shortest first, looked up as tuples.
     """
+    if len(ideal.gens) >= _FEW:
+        return _ss_by_columns(ideal)
     if not is_t_spread_ideal(ideal):
         return False
     gens = set(ideal.gens)
@@ -562,6 +599,38 @@ def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
                     else:
                         return False
             prev = i
+    return True
+
+
+def _ss_by_columns(ideal: MonomialIdeal) -> bool:
+    # is_t_ss_ideal by the keys and counts of its docstring, a degree at a time
+    t, base = ideal.ctx.t, ideal.ctx.n + 1
+    keys: set[int] = set()
+    degrees: list[int] = []
+    runs: dict[int, list[Monomial]] = {}
+    for d, run in groupby(ideal.gens, len):  # runs of one degree, merged in case
+        runs.setdefault(d, []).extend(run)  # the generators come out of order
+    for d, gens in sorted(runs.items()):
+        cols = _columns(gens, d)
+        gaps = [list(map(sub, b, a)) for a, b in zip(cols, cols[1:])]
+        if gaps and min(map(min, gaps)) < t:
+            return False
+        degrees.append(d)
+        part = list(map(add, cols[0], repeat(base)))
+        prefix = {1: part}  # the keys of the generators' length-j prefixes
+        for j, col in enumerate(cols[1:], 2):
+            part = list(map(add, map(mul, part, repeat(base)), col))
+            prefix[j] = part
+        keys.update(part)
+        for k in range(d):
+            stays = len(gens) - (countOf(gaps[k - 1], t) if k else countOf(cols[0], 1))
+            found = 0
+            for j in degrees:
+                if j > k:
+                    lowered = map(sub, prefix[j], repeat(base ** (j - 1 - k)))
+                    found += sum(map(keys.__contains__, lowered))
+            if found < stays:
+                return False
     return True
 
 
@@ -605,6 +674,12 @@ def t_spread_component(ideal: MonomialIdeal) -> Iterator[tuple[int, list[Monomia
         yield j, current
 
 
+def _shapes(gens: Sequence[Monomial]) -> Counter[tuple[int, int]]:
+    # the generators' (degree, max index) shapes with multiplicity: all that
+    # the Betti numbers, corners and Eliahou-Kervaire counts read of them
+    return Counter(zip(map(len, gens), map(itemgetter(-1), gens)))
+
+
 def _ek_members(shapes: Mapping[tuple[int, int], int], k: int, ctx: Context) -> int:
     # degree-k t-spread monomials with a minimal generator as a prefix (in a
     # t-strongly stable ideal, every member), given the generators'
@@ -645,7 +720,7 @@ def is_t_lex_ideal(ideal: MonomialIdeal) -> bool:
     """
     ctx = require_t_spread_ideal(ideal).ctx
     n, t = ctx.n, ctx.t
-    shapes = Counter((len(g), g[-1]) for g in ideal.gens)
+    shapes = _shapes(ideal.gens)
     # generators come in (degree, slex) order: the last of a shape is its tuple-max
     last = {(len(g), g[-1]): g for g in ideal.gens}
     for k in range(1, ctx.max_degree() + 1):

@@ -30,7 +30,6 @@ h_j and the slex walk lists the interval; no segment or shadow is built.
 """
 from __future__ import annotations
 
-from collections import Counter
 from math import comb
 from typing import Iterable, Sequence
 
@@ -41,7 +40,14 @@ from .core import (
     MonomialIdeal,
     TSpreadError,
 )
-from .construct import _ek_members, _lex_list, _unrank, is_t_ss_ideal, t_spread_component
+from .construct import (
+    _ek_members,
+    _lex_list,
+    _shapes,
+    _unrank,
+    is_t_ss_ideal,
+    t_spread_component,
+)
 from .count import BinomialTerm, binomial, card_veronese
 
 
@@ -56,7 +62,7 @@ def ft_vector(ideal: MonomialIdeal) -> list[int]:
     if not is_t_ss_ideal(ideal):
         return [1] + [card_veronese(j, ctx) - len(s) for j, s in t_spread_component(ideal)]
     # generators sharing degree and largest index contribute alike
-    shapes = Counter((len(g), g[-1]) for g in ideal.gens)
+    shapes = _shapes(ideal.gens)
     return [1] + [
         card_veronese(k, ctx) - _ek_members(shapes, k, ctx)
         for k in range(1, ctx.max_degree() + 1)
@@ -114,16 +120,7 @@ def is_ft_vector(f: Sequence[int], ctx: Context) -> bool:
     bounded by the shifted expansion of the previous one.  A zero entry
     forces all later entries to zero.
     """
-    fv = [int(x) for x in f]
-    if not fv or fv[0] != 1:
-        return False
-    for d in range(1, len(fv)):
-        if fv[d] < 0 or fv[d] > card_veronese(d, ctx):
-            return False
-    for d in range(1, len(fv) - 1):
-        if fv[d + 1] > _shifted_bound(fv[d], d, ctx):
-            return False
-    return True
+    return _shifted_bounds([int(x) for x in f], ctx) is not None
 
 
 def _shifted_bound(a: int, d: int, ctx: Context) -> int:
@@ -131,16 +128,32 @@ def _shifted_bound(a: int, d: int, ctx: Context) -> int:
     return solve_binomial_expansion(t_macaulay_expansion(a, d, ctx, shift=True))
 
 
-def _lex_ideal(f: list[int], ctx: Context) -> MonomialIdeal:
-    # the lex ideal of an admissible f, generator by generator (the rank
-    # interval of the module docstring); degrees past f's end count zero, so
-    # one further degree closes the ideal off
+def _shifted_bounds(fv: list[int], ctx: Context) -> list[int] | None:
+    # the shifted bound of each entry f_1, f_2, ... (so of degree d at index
+    # d - 1), each computed once; None unless fv is an ft-vector
+    if not fv or fv[0] != 1:
+        return None
+    for d in range(1, len(fv)):
+        if fv[d] < 0 or fv[d] > card_veronese(d, ctx):
+            return None
+    bounds: list[int] = []
+    for d in range(1, len(fv)):
+        if bounds and fv[d] > bounds[-1]:
+            return None
+        bounds.append(_shifted_bound(fv[d], d, ctx))
+    return bounds
+
+
+def _lex_ideal(f: list[int], bounds: list[int], ctx: Context) -> MonomialIdeal:
+    # the lex ideal of an ft-vector f with its shifted bounds (the rank
+    # interval of the module docstring); degrees past f's end count zero,
+    # so one further degree closes the ideal off
     gens: list[Monomial] = []
     for j, x in enumerate(f + [0]):
         if j == 0:
             continue
         full = card_veronese(j, ctx)
-        shadow = 0 if j == 1 else full - _shifted_bound(f[j - 1], j - 1, ctx)
+        shadow = 0 if j == 1 else full - bounds[j - 2]
         size = full - x
         if shadow < size:
             first, last = _unrank(shadow, j, ctx), _unrank(size - 1, j, ctx)
@@ -158,9 +171,10 @@ def t_lex_ideal_from_f(f: Sequence[int], ctx: Context) -> MonomialIdeal:
     degree's shadow, a rank interval walked without building the segment.
     """
     fv = [int(x) for x in f]
-    if not is_ft_vector(fv, ctx):
+    bounds = _shifted_bounds(fv, ctx)
+    if bounds is None:
         raise InvalidFtVectorError("expected a valid ft-vector")
-    return _lex_ideal(fv, ctx)
+    return _lex_ideal(fv, bounds, ctx)
 
 
 def t_lex_ideal_of(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -170,8 +184,9 @@ def t_lex_ideal_of(ideal: MonomialIdeal) -> MonomialIdeal:
     them; only an ideal that is not strongly stable can have such counts.
     """
     f = ft_vector(ideal)
-    if not is_ft_vector(f, ideal.ctx):
+    bounds = _shifted_bounds(f, ideal.ctx)
+    if bounds is None:
         raise InvalidFtVectorError(
             f"the ideal's quotient counts {f} break the growth bound: no lex ideal has them"
         )
-    return _lex_ideal(f, ideal.ctx)
+    return _lex_ideal(f, bounds, ideal.ctx)

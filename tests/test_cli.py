@@ -303,7 +303,6 @@ class TestErrors:
         "argv, predicted",
         [
             (["ft-vector"], 2**40 - 41),
-            (["is-lex-ideal"], 2**40 - 41),
             (["lex-ideal"], 2**40 - 41),
             (["lex-ideal", "--f", "1,40,780,9880,91390,10"], comb(40, 5) - 10 + comb(40, 6)),
         ],
@@ -315,6 +314,15 @@ class TestErrors:
         code, _, err = run(capsys, *argv, "--n", "40", "--t", "1")
         assert time.perf_counter() - start < 1.0
         assert code == 1 and f"output would hold {predicted} monomials" in err
+
+    def test_lex_ideal_test_needs_no_guard(self, capsys, monkeypatch):
+        # is_t_lex_ideal decides by counts and builds nothing: the slices
+        # the ft-vector guard above counts are never made
+        monkeypatch.setattr("sys.stdin", io.StringIO("1,2\n"))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "is-lex-ideal", "--n", "40", "--t", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out == "true\n"
 
     def test_slice_guard_is_immediate_at_large_n(self, capsys, monkeypatch):
         # 2^20000 - 20001 subsets: every one but the empty one and the

@@ -1,3 +1,4 @@
+import random
 import time
 from functools import reduce
 from itertools import combinations
@@ -692,8 +693,100 @@ def test_strongly_stable_ideals_match_oracle(n, t):
     # exact both ways: strongly stable exactly when the ideal is its closure
     for ideal, closure in small_ideals(n, t):
         want = tuple(minimalize(closure))
-        assert is_t_ss_ideal(ideal) == (want == ideal.gens), ideal.gens
+        assert stability_answers(ideal) == {want == ideal.gens}, ideal.gens
         assert t_ss_ideal(ideal).gens == want, ideal.gens
+
+
+def scalar_is_t_ss_ideal(ideal):
+    """The stability test one generator at a time, as it was before the
+    column kernel: the gap test, then each single decrement and its tail
+    prefixes, shortest first, looked up as tuples."""
+    t = ideal.ctx.t
+    if not all(g[i + 1] - g[i] >= t for g in ideal.gens for i in range(len(g) - 1)):
+        return False
+    gens = set(ideal.gens)
+    for g in ideal.gens:
+        prev = 1 - t
+        for k, i in enumerate(g):
+            if i - 1 - prev >= t:
+                w = g[:k] + (i - 1,)
+                if w not in gens:
+                    for x in g[k + 1:]:
+                        w += (x,)
+                        if w in gens:
+                            break
+                    else:
+                        return False
+            prev = i
+    return True
+
+
+def stability_answers(ideal):
+    """The answers of the reference, the column kernel and the public test
+    (one generator at a time below ``core._FEW`` generators), as a set."""
+    return {scalar_is_t_ss_ideal(ideal), construct._ss_by_columns(ideal), is_t_ss_ideal(ideal)}
+
+
+def stability_variants(closed, drop, rng):
+    """The closure, the closure less its generator ``drop`` and the closure
+    shuffled out of (degree, slex) order, each as generators taken as they are."""
+    gens = list(closed.gens)
+    shuffled = gens[:]
+    rng.shuffle(shuffled)
+    return [
+        MonomialIdeal._of_minimal(closed.ctx, tuple(g))
+        for g in (gens, gens[:drop] + gens[drop + 1:], shuffled)
+    ]
+
+
+@pytest.mark.parametrize("n,t", CLOSURE_RINGS)
+def test_stability_kernels_on_closures(n, t):
+    # every closure is stable; less one generator it is exactly when the
+    # oracle closes it to itself
+    for closed in small_closures(n, t):
+        assert stability_answers(closed) == {True}, closed.gens
+        for drop in range(len(closed.gens)):
+            less = closed.gens[:drop] + closed.gens[drop + 1:]
+            want = tuple(minimalize(oracle_ss_closure(less, closed.ctx))) == less
+            assert stability_answers(MonomialIdeal._of_minimal(closed.ctx, less)) == {want}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(ideal=spread_ideals(), drop=st.integers(0, 10**6), seed=st.integers(0, 2**32))
+def test_stability_kernels_match_reference(ideal, drop, seed):
+    closed = t_ss_ideal(ideal)
+    variants = stability_variants(closed, drop % len(closed.gens), random.Random(seed))
+    for case in [ideal] + variants:
+        assert stability_answers(case) == {scalar_is_t_ss_ideal(case)}, case.gens
+    assert stability_answers(variants[0]) == stability_answers(variants[2]) == {True}
+
+
+@st.composite
+def long_generators(draw):
+    """(ctx, generators) at t = 1, n >= 300, degree >= 100: keys of 250 decimal digits.
+
+    Each generator is 1, 2, ... up to a shared point, then one or two free
+    indices in a window of 30, so its strongly stable set stays small.
+    """
+    n = draw(st.integers(300, 400))
+    d = draw(st.integers(100, 120))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        free = draw(st.integers(1, 2))
+        tail = draw(st.lists(st.integers(d - free + 1, d + 30), min_size=free, max_size=free,
+                             unique=True))
+        gens.append(tuple(range(1, d - free + 1)) + tuple(sorted(tail)))
+    return Context(n, 1), gens
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(case=long_generators(), drop=st.integers(0, 10**6), seed=st.integers(0, 2**32))
+def test_stability_kernels_with_big_keys(case, drop, seed):
+    ctx, gens = case
+    ideal = MonomialIdeal(ctx, gens)
+    closed = t_ss_ideal(ideal)
+    for case in [ideal] + stability_variants(closed, drop % len(closed.gens), random.Random(seed)):
+        assert stability_answers(case) == {scalar_is_t_ss_ideal(case)}, case.gens
 
 
 @pytest.mark.parametrize("n,t", IDEAL_RINGS)

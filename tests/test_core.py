@@ -2,13 +2,21 @@ import copy
 import pickle
 import random
 import time
-from itertools import chain
+from itertools import chain, combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLOSURE_40_CTX, IDEAL_RINGS, spread_monomials
+from conftest import (
+    CLOSURE_40_CTX,
+    IDEAL_RINGS,
+    REALIZE_BASICS,
+    REALIZE_CTX,
+    REALIZE_GENERATORS,
+    spread_monomials,
+)
 from tspread.betti import BettiTable, CornerConfig
 from tspread.core import (
     Context,
@@ -319,9 +327,109 @@ class TestValueValidation:
 
 @pytest.mark.parametrize("n,t", IDEAL_RINGS)
 def test_t_spread_ideal_matches_gap_test(n, t):
-    # every squarefree monomial of the ring alone, and beside the one before it
+    # every squarefree monomial of the ring alone, beside the one before it,
+    # and in runs of 20 of one degree, which the column test takes
     ctx = Context(n, t)
     ms = spread_monomials(n, 1)
-    for gens in chain(((m,) for m in ms), zip(ms, ms[1:])):
+    runs = (ms[i:i + 20] for i in range(len(ms)) if len(set(map(len, ms[i:i + 20]))) == 1)
+    for gens in chain(((m,) for m in ms), zip(ms, ms[1:]), runs):
         ideal = MonomialIdeal(ctx, gens)
         assert is_t_spread_ideal(ideal) == all(_gaps_at_least(g, t) for g in ideal.gens), gens
+
+
+def scan_minimal(supports):
+    """``minimalize`` of canonical supports one at a time, as it was before
+    the column kernel: in (size, tuple) order, each support met with the
+    kept ones of every size by its subsets or by a scan."""
+    kept, by_size = [], {}
+    for g in sorted(set(supports), key=lambda g: (len(g), g)):
+        support = frozenset(g)
+        for e, smaller in by_size.items():
+            if comb(len(g), e) <= len(smaller):
+                if not smaller.isdisjoint(combinations(g, e)):
+                    break
+            elif any(map(support.issuperset, smaller)):
+                break
+        else:
+            kept.append(g)
+            by_size.setdefault(len(g), set()).add(g)
+    return kept
+
+
+def member_by_member_gens(ctx, gens):
+    """``MonomialIdeal(ctx, gens).gens`` as built before the batch check."""
+    canon = []
+    for g in gens:
+        m = validate_monomial(g, ctx)
+        if not m:
+            raise TSpreadError("the unit monomial cannot generate a proper ideal")
+        canon.append(m)
+    return tuple(scan_minimal(canon))
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return "raised", type(exc), str(exc)
+
+
+@st.composite
+def ideal_members(draw, n_max=10):
+    """(members, ctx): valid members with up to three offenders of any kind."""
+    n = draw(st.integers(1, n_max))
+    valid = st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True).map(
+        lambda m: tuple(sorted(m)))
+    offender = st.one_of(
+        valid.map(lambda m: m + (n + 1,)),  # out of range
+        valid.map(lambda m: (0,) + m),
+        valid.map(lambda m: m + m[-1:]),  # repeated
+        valid.filter(lambda m: len(m) > 1).map(lambda m: m[::-1]),  # decreasing
+        st.just(()),  # the unit monomial
+        valid.map(lambda m: (True,) + m[1:]),
+        valid.map(lambda m: tuple(map(float, m))),
+        st.sampled_from(["12", "x", "3"]),
+        valid.map(list),
+    )
+    # few members are validated one by one, many by the batch check
+    members = draw(st.one_of(st.lists(valid, max_size=8), st.lists(valid, min_size=16, max_size=40)))
+    for _ in range(draw(st.integers(0, 3))):
+        members.insert(draw(st.integers(0, len(members))), draw(offender))
+    return members, Context(n, 1)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=ideal_members())
+def test_ideal_built_as_member_by_member(case):
+    members, ctx = case
+    want = outcome(member_by_member_gens, ctx, members)
+    assert outcome(lambda: MonomialIdeal(ctx, members).gens) == want
+    assert outcome(lambda: MonomialIdeal(ctx, iter(members)).gens) == want
+    # minimalize takes any supports: all but the str members, whose
+    # characters would be compared with ints
+    supports = [m for m in members if not isinstance(m, str)]
+    got = minimalize(supports)
+    assert got == scan_minimal([tuple(sorted(set(g))) for g in supports])
+    # (1.0, 2.0) equals (1, 2): the types are compared too
+    types = [tuple(map(type, g)) for g in scan_minimal([tuple(sorted(set(g))) for g in supports])]
+    assert [tuple(map(type, g)) for g in got] == types
+
+
+@pytest.mark.parametrize("few", [1, 20])
+def test_unit_support_divides_every_other(few):
+    supports = [(3, 1), (2,)] * few + [[]] + [(i, i + 1) for i in range(1, few)]
+    assert minimalize(supports) == [()]
+    with pytest.raises(TSpreadError, match=r"^the unit monomial cannot generate"):
+        MonomialIdeal(Context(25, 1), [(2, 3)] * few + [()])
+
+
+def test_valid_tuples_skip_member_validation(monkeypatch):
+    # duplicates and multiples of generators among them, out of order
+    gens = REALIZE_GENERATORS[::-1] + REALIZE_BASICS + ((1, 4, 20), (2, 5, 9, 13))
+    want = MonomialIdeal(REALIZE_CTX, gens).gens
+
+    def refuse(*_):
+        raise AssertionError("validated member by member")
+
+    monkeypatch.setattr("tspread.core.validate_monomial", refuse)
+    assert MonomialIdeal(REALIZE_CTX, gens).gens == want == REALIZE_GENERATORS
