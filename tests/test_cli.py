@@ -306,6 +306,9 @@ class TestErrors:
             (["lex-ideal"], 2**40 - 41),
             (["lex-ideal", "--f", "1,40,780,9880,91390,10"], comb(40, 5) - 10 + comb(40, 6)),
         ],
+        # fixed ids: the rows keep their names from the table that also held
+        # the is-lex-ideal row (argv1), now test_lex_ideal_test_needs_no_guard
+        ids=["argv0-1099511627735", "argv2-1099511627735", "argv3-4496378"],
     )
     def test_ideal_guards_are_immediate(self, capsys, monkeypatch, argv, predicted):
         # every slice from degree 2 up, or the segments of the vector
