@@ -214,9 +214,11 @@ def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:
 def _lex_ideal_size(f: list[int] | None, ideal: MonomialIdeal | None, ctx: Context) -> int:
     if f is None:
         return _slices_size(ideal, ctx)
-    # an admissible f builds one initial segment per degree and one past its end
-    segments = sum(count.card_veronese(j, ctx) - x for j, x in enumerate(f + [0]) if j)
-    return segments if kk.is_ft_vector(f, ctx) else 0
+    # an admissible f emits the generators of one rank interval per degree
+    bounds = kk._shifted_bounds(f, ctx)
+    if bounds is None:
+        return 0
+    return sum(max(0, s - h) for _, h, s in kk._rank_intervals(f, bounds, ctx))
 
 
 def _silent(*_: object) -> None:

@@ -14,8 +14,41 @@ Eliahou-Kervaire decomposition, after Ene-Herzog-Qureshi).  So the
 ideal holds, in degree k, the sum over g of the number of t-spread
 (k - deg g)-subsets of the n - max g - t + 1 variables from max g + t on.
 That costs a binomial per generator shape and degree
-(``construct._ek_members``).  Other ideals are counted slice by slice
-through ``t_spread_component``.
+(``construct._ek_members``).
+
+Any other t-spread ideal is counted from the unions of its generators
+(``construct._union_ft``), and no monomial is built either.  A t-spread w
+lies outside the ideal exactly when no generator divides it, so with
+N_k(u) the number of degree-k t-spread monomials divisible by u,
+inclusion-exclusion gives
+
+    f_k = sum over generator subsets S of (-1)^|S| N_k(union of S)
+        = sum over distinct unions u of mu(u) N_k(u),
+
+where mu(u) sums (-1)^|S| over the subsets S whose union is u, and the
+empty subset gives the union () and N_k(()) = |degree k|.  A union that is
+not t-spread divides no t-spread monomial, and neither does any union
+containing it, so it adds 0.  The table of unions and weights grows one
+generator g at a time: each entry (u, c) adds weight -c to the union of
+u and g when that union is t-spread; equal unions merge, and entries of
+weight 0 drop.
+
+*Gap count.*  Put the members of a t-spread union u between the sentinels
+1 - t and n + t.  A degree-k t-spread multiple of u places its k - |u|
+other indices in the gaps between consecutive members: in a gap (a, b),
+e indices at least t from a, from b and from each other.  They are the
+t-spread e-subsets of the b - a - 2t + 1 integers from a + t to b - t;
+lowering the i-th of them by (i - 1)(t - 1) makes these the e-subsets of
+b - a - 2t + 1 - (e - 1)(t - 1) integers, so a gap holds e of them in
+C(b - a - (e + 1)t + e, e) ways.  Gaps fill independently, so N(u), as a
+polynomial whose x^k coefficient is N_k(u), is x^|u| times the product of
+the gap polynomials.  Each of those depends on b - a alone and is made once
+per call; the products keep only the coefficients up to the maximal degree.
+
+At t = 1 every union is 1-spread, so r generators can make up to 2^r
+unions.  Each nonempty union in the table is a member of the ideal, so the
+table never has more entries than the degree slices, which counting them
+one by one would build, have monomials.
 
 Lex ideals are built from their generators alone.  Rank the degree-j
 t-spread monomials 0, 1, ... down the slex order, so that the initial
@@ -31,7 +64,7 @@ h_j and the slex walk lists the interval; no segment or shadow is built.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Context,
@@ -39,14 +72,15 @@ from .core import (
     Monomial,
     MonomialIdeal,
     TSpreadError,
+    require_t_spread_ideal,
 )
 from .construct import (
     _ek_members,
     _lex_list,
     _shapes,
+    _union_ft,
     _unrank,
     is_t_ss_ideal,
-    t_spread_component,
 )
 from .count import BinomialTerm, binomial, card_veronese
 
@@ -56,17 +90,20 @@ def ft_vector(ideal: MonomialIdeal) -> list[int]:
 
     Entry j is the number of degree-j t-spread monomials not in the ideal;
     entry 0 is always 1 since ideals here are proper.  Vectors are never
-    truncated, so trailing zeros are meaningful.
+    truncated, so trailing zeros are meaningful.  No monomial is built: a
+    strongly stable ideal is counted from its generator shapes, any other
+    from its generators' unions (see the module docstring).  Raises
+    NotTSpreadError unless the ideal is t-spread.
     """
     ctx = ideal.ctx
-    if not is_t_ss_ideal(ideal):
-        return [1] + [card_veronese(j, ctx) - len(s) for j, s in t_spread_component(ideal)]
-    # generators sharing degree and largest index contribute alike
-    shapes = _shapes(ideal.gens)
-    return [1] + [
-        card_veronese(k, ctx) - _ek_members(shapes, k, ctx)
-        for k in range(1, ctx.max_degree() + 1)
-    ]
+    if is_t_ss_ideal(ideal):
+        # generators sharing degree and largest index contribute alike
+        shapes = _shapes(ideal.gens)
+        return [1] + [
+            card_veronese(k, ctx) - _ek_members(shapes, k, ctx)
+            for k in range(1, ctx.max_degree() + 1)
+        ]
+    return _union_ft(require_t_spread_ideal(ideal).gens, ctx)
 
 
 def t_macaulay_expansion(
@@ -144,17 +181,23 @@ def _shifted_bounds(fv: list[int], ctx: Context) -> list[int] | None:
     return bounds
 
 
-def _lex_ideal(f: list[int], bounds: list[int], ctx: Context) -> MonomialIdeal:
-    # the lex ideal of an ft-vector f with its shifted bounds (the rank
-    # interval of the module docstring); degrees past f's end count zero,
-    # so one further degree closes the ideal off
-    gens: list[Monomial] = []
+def _rank_intervals(
+    f: list[int], bounds: list[int], ctx: Context
+) -> Iterator[tuple[int, int, int]]:
+    # (j, h_j, s_j) for the lex ideal of an ft-vector f with its shifted
+    # bounds: its degree-j generators are the slex ranks [h_j, s_j) (the
+    # rank interval of the module docstring); degrees past f's end count
+    # zero, so one further degree closes the ideal off
     for j, x in enumerate(f + [0]):
-        if j == 0:
-            continue
-        full = card_veronese(j, ctx)
-        shadow = 0 if j == 1 else full - bounds[j - 2]
-        size = full - x
+        if j:
+            full = card_veronese(j, ctx)
+            yield j, 0 if j == 1 else full - bounds[j - 2], full - x
+
+
+def _lex_ideal(f: list[int], bounds: list[int], ctx: Context) -> MonomialIdeal:
+    # the lex ideal of an ft-vector f with its shifted bounds
+    gens: list[Monomial] = []
+    for j, shadow, size in _rank_intervals(f, bounds, ctx):
         if shadow < size:
             first, last = _unrank(shadow, j, ctx), _unrank(size - 1, j, ctx)
             gens += _lex_list(first, last, ctx)

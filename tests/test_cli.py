@@ -20,6 +20,7 @@ from tspread.cli import (
     FORCE_LIMIT,
     _build_parser,
     _closure_size,
+    _lex_ideal_size,
     _slices_size,
     main,
     parse_monomial,
@@ -304,19 +305,27 @@ class TestErrors:
         [
             (["ft-vector"], 2**40 - 41),
             (["lex-ideal"], 2**40 - 41),
-            (["lex-ideal", "--f", "1,40,780,9880,91390,10"], comb(40, 5) - 10 + comb(40, 6)),
+            # every degree-7 monomial, C(40, 7) = 18 643 560, is a generator
+            (["lex-ideal", "--f", "1,40,780,9880,91390,658008,3838380"], 18643560),
         ],
         # fixed ids: the rows keep their names from the table that also held
         # the is-lex-ideal row (argv1), now test_lex_ideal_test_needs_no_guard
         ids=["argv0-1099511627735", "argv2-1099511627735", "argv3-4496378"],
     )
     def test_ideal_guards_are_immediate(self, capsys, monkeypatch, argv, predicted):
-        # every slice from degree 2 up, or the segments of the vector
+        # every slice from degree 2 up, or the generators the vector emits
         monkeypatch.setattr("sys.stdin", io.StringIO("1,2\n"))
         start = time.perf_counter()
         code, _, err = run(capsys, *argv, "--n", "40", "--t", "1")
         assert time.perf_counter() - start < 1.0
         assert code == 1 and f"output would hold {predicted} monomials" in err
+
+    def test_lex_ideal_guard_predicts_the_generators(self):
+        # all but 10 degree-5 monomials, then the one degree-6 monomial outside their
+        # shadow: 657 999 generators, under the limit, where the segments held 4 496 378
+        ctx = Context(40, 1)
+        assert _lex_ideal_size([1, 40, 780, 9880, 91390, 10], None, ctx) == 657999 < FORCE_LIMIT
+        assert _lex_ideal_size([1, 40, 781, 0, 0, 0], None, ctx) == 0  # refused by the kernel
 
     def test_lex_ideal_test_needs_no_guard(self, capsys, monkeypatch):
         # is_t_lex_ideal decides by counts and builds nothing: the slices

@@ -13,9 +13,17 @@ from conftest import (
     kk_ideal,
     oracle_ft,
     small_closures,
+    small_ideals,
     spread_ideals,
 )
-from tspread.construct import is_t_lex_ideal, is_t_ss_ideal, t_spread_component, t_ss_ideal
+from tspread import construct
+from tspread.construct import (
+    _union_ft,
+    is_t_lex_ideal,
+    is_t_ss_ideal,
+    t_spread_component,
+    t_ss_ideal,
+)
 from tspread.core import (
     Context,
     InvalidFtVectorError,
@@ -24,7 +32,7 @@ from tspread.core import (
     TSpreadError,
     minimalize,
 )
-from tspread.count import card_veronese
+from tspread.count import binomial, card_veronese
 from tspread.kk import (
     ft_vector,
     is_ft_vector,
@@ -71,10 +79,59 @@ def test_ft_vector_counts_match_slices_and_oracle(n, t, minimal_builds):
 def test_ft_vector_counts_match_slices_hypothesis(ideal):
     closed = t_ss_ideal(ideal)
     assert ft_vector(closed) == component_ft(closed)
-    # an ideal that is not strongly stable keeps the slice path
+    # an ideal that is not strongly stable is counted by its generators' unions
     assert ft_vector(ideal) == component_ft(ideal)
     lex = t_lex_ideal_of(closed)
     assert lex.gens == tuple(minimalize(lex.gens)) and is_t_ss_ideal(lex)
+
+
+@pytest.mark.parametrize("n,t", CLOSURE_RINGS)
+def test_union_count_matches_slices_and_oracle(n, t):
+    # every ideal of one or two generators, strongly stable or not, through
+    # the union count itself and through ft_vector
+    for ideal, _ in small_ideals(n, t):
+        f = oracle_ft(ideal)
+        assert _union_ft(ideal.gens, ideal.ctx) == f, ideal.gens
+        assert ft_vector(ideal) == component_ft(ideal) == f, ideal.gens
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(ideal=spread_ideals(n_max=12, gens_max=8))
+def test_union_count_matches_slices_hypothesis(ideal):
+    assert _union_ft(ideal.gens, ideal.ctx) == component_ft(ideal)
+
+
+def test_union_table_merges_and_drops_unions():
+    # (1,3) and (2,5) have the unions (), (1,3), (2,5) and (1,2,3,5)
+    ideal = MonomialIdeal(Context(10, 1), ((1, 3), (2, 5)))
+    assert _union_ft(ideal.gens, ideal.ctx) == oracle_ft(ideal)
+    # (1,2,3,4) is the union of (1,3) and (2,4), weight 1, and of all three,
+    # weight -1: it drops, and six unions are left
+    cancel = MonomialIdeal(Context(5, 1), ((1, 2), (1, 3), (2, 4)))
+    assert _union_ft(cancel.gens, cancel.ctx) == oracle_ft(cancel)
+    # at t = 2 the union (1,2,3,5) is not t-spread and takes no entry
+    spread = MonomialIdeal(Context(10, 2), ((1, 3), (2, 5)))
+    assert _union_ft(spread.gens, spread.ctx) == oracle_ft(spread)
+
+
+def test_union_count_builds_no_slice_at_n40(monkeypatch):
+    def refuse(ideal):
+        raise AssertionError("the degree slices were built")
+
+    monkeypatch.setattr(construct, "t_spread_component", refuse)
+    ideal = MonomialIdeal(Context(40, 1), ((1, 3), (2, 5)))
+    start = time.perf_counter()
+    f = ft_vector(ideal)
+    assert time.perf_counter() - start < 1.0
+    assert f == closed_form(40) and f[:3] == [1, 40, 778]
+    # and at every smaller ring
+    for n in range(5, 40):
+        assert ft_vector(MonomialIdeal(Context(n, 1), ideal.gens)) == closed_form(n), n
+
+
+def closed_form(n):
+    # C(n, k) monomials, less the multiples of each generator, plus those of both
+    return [binomial(n, k) - 2 * binomial(n - 2, k - 2) + binomial(n - 4, k - 4) for k in range(n + 1)]
 
 
 def oracle_lex_gens(f, ctx):
