@@ -15,30 +15,36 @@ Borel-above its slex-least one, so capped by ``min_mon`` they are a stretch
 of the whole lex order.  Three kernels list them.  The successor ``_step``
 bumps the last index still below its cap and repacks the tail t apart; it
 serves the lazy and single-step calls (``t_next_lex``, ``iter_veronese``).
-The level builder ``_walk`` serves the Borel lists, and the lex lists at
-t >= 2: it grows all prefixes of the set one position at a time, each by
-a range of indices, so the tuples are made by C-level concatenation and
-no Python code runs per monomial.  At t = 1 the degree-d monomials are
-the d-subsets of [n] in ``itertools.combinations`` order, so ``_lex_list``
-lists a lex interval as a block of combinations per fixed prefix.
-A set may start at any slex rank: the unrank step finds the monomial of a
-given rank in O(d log n) binomials.  Public functions validate once; the
-kernels and shadows never again.  The set tests decide by counts and by
-whole index columns, built once by the batch check: the segment tests
-compare the member count with the segment's (``_walk_count`` for Borel
-segments), and the strongly stable set test looks up each position's
-decrements as one column.  A shadow set is emitted as ascending runs, one
-family per insertion position, that a single sort merges (``_shadow_runs``);
-the smallest strongly stable set containing given monomials is one
-greatest-caps walk per degree (``_fresh``), not a union of Borel sets.
-The stability test of an ideal works on columns too: each degree's
-generators become integer keys, built by multiply-add passes over their
-index columns, and the single decrements of each position are counted
-among the keys in one C-level pass per prefix length (``is_t_ss_ideal``).
+The split walk ``_walk`` serves the Borel lists, and the lex lists at
+t >= 2: it cuts the members halfway along into heads and tails, lists the
+heads and one table of tails, shared by all heads, by the same walk, and
+joins each head to a slice of the table, so the tuples are made by C-level
+concatenation and the Python work is per head, not per monomial.  At
+t = 1 the degree-d monomials are the d-subsets of [n] in
+``itertools.combinations`` order, so ``_lex_list`` lists a lex interval as
+a block of combinations per fixed prefix.  A set may start at any slex
+rank: the unrank step finds the monomial of a given rank in O(d log n)
+binomials.  Public functions validate once; the kernels and shadows never
+again.  The set tests decide by counts and by whole index columns, built
+once by the batch check, one ``itemgetter`` pass per position
+(``core._columns``).  Not ``zip(*ms)``: that holds one iterator per member
+at once, each tracked by the garbage collector, and on a set of tens of
+thousands the collections it starts cost more than the columns
+themselves.  The segment tests compare the member count with the
+segment's (``_walk_count`` for Borel segments), and the strongly stable
+set test looks up each position's decrements as one column.  A shadow
+set is emitted as ascending runs, one family per insertion position, that
+a single sort merges (``_shadow_runs``); the smallest strongly stable set
+containing given monomials is one greatest-caps walk per degree
+(``_fresh``), not a union of Borel sets.  The stability test of an ideal
+works on columns too: each degree's generators become integer keys, built
+by multiply-add passes over their index columns, and the single
+decrements of each position are counted among the keys in one C-level
+pass per prefix length (``is_t_ss_ideal``).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, chain, combinations, compress, groupby, islice, repeat
 from math import comb
@@ -53,6 +59,7 @@ from .core import (
     TSpreadError,
     _FEW,
     _columns,
+    _columns_spread,
     _gaps_at_least,
     borel_geq,
     cmp_slex,
@@ -61,8 +68,6 @@ from .core import (
     min_mon,
     require_t_spread,
     require_t_spread_ideal,
-    slex_max,
-    slex_min,
     validate_monomial,
 )
 from .count import binomial, count_t_lex_mon
@@ -123,7 +128,7 @@ def _shadow_runs(ms: set[Monomial], ctx: Context) -> list[Monomial]:
     d = len(members[0])
     if not d:
         return [(h,) for h in range(1, n + 1)]
-    cols = list(zip(*members))
+    cols = _columns(members, d)
     base = min(cols[-1]) + t
     singles = tuple(zip(range(base, n + 1)))
 
@@ -161,28 +166,40 @@ def _step(w: Monomial, caps: Monomial, t: int) -> Monomial | None:
 def _walk(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> list[Monomial]:
     # Every t-spread w with top <= w <= bottom (tuple order) and w <= caps
     # componentwise, ascending; top and bottom lie under caps, which is
-    # t-spread.  Level q holds the length-q prefixes of these w, ascending:
-    # top[:q] first, bottom[:q] last.  A middle prefix p extends by every x
-    # from p[-1] + t to caps[q]; only the first is held from below (by
-    # top[q]) and only the last from above (by bottom[q]), one prefix when
-    # top[:q] == bottom[:q].  Every prefix completes, as caps is t-spread,
-    # so no level is longer than the result.  The middle prefixes share one
-    # table of singletons (x,) from their least start up to caps[q]; every
-    # x in it is used, so the table is never longer than the level it grows.
-    level = [()]
-    for lo, hi, cap in zip(top, bottom, caps):
-        first, last = level[0], level[-1]
-        if len(level) == 1:
-            level = list(map(first.__add__, zip(range(lo, hi + 1))))
-            continue
-        mid = level[1:-1]
-        base = min(map(itemgetter(-1), mid), default=cap) + t
-        one = tuple(zip(range(base, cap + 1)))
-        grown = list(map(first.__add__, zip(range(lo, cap + 1))))
-        grown += [w for p in mid for w in map(p.__add__, one[p[-1] + t - base:])]
-        grown += map(last.__add__, zip(range(last[-1] + t, hi + 1)))
-        level = grown
-    return level
+    # t-spread.  Past the prefix c that top and bottom share, split at q,
+    # halfway to the degree.  The heads, the length-q prefixes of these w,
+    # are such a walk themselves, and every head completes, as caps is
+    # t-spread.  The tails of the first and middle heads are suffixes of one
+    # table, the walk of tails from the least start, low, found by
+    # bisection; those of the last head are a slice of it, or its own walk
+    # when it starts below low.  The head whose tails start at low takes the
+    # whole table, so the table is never longer than the result.
+    d = len(top)
+    c = next((q for q, (a, b) in enumerate(zip(top, bottom)) if a != b), d)
+    if c >= d - 1:
+        return list(map(top[:c].__add__, zip(range(top[c], bottom[c] + 1)))) if c < d else [top]
+    q = (c + d) // 2
+    first, *mid, last = _walk(top[:q], bottom[:q], caps[:q], t)
+    rest = caps[q:]
+    low = top[q:]
+    if mid:
+        low = min(low, _packed(min(map(itemgetter(-1), mid)) + t, d - q, t))
+    table = _walk(low, rest, rest, t)
+    firsts = list(map(itemgetter(0), table))
+    out = list(map(first.__add__, table[bisect_left(table, top[q:]):]))
+    out += chain.from_iterable(map(p.__add__, table[bisect_left(firsts, p[-1] + t):]) for p in mid)
+    start = _packed(last[-1] + t, d - q, t)
+    if start >= low:
+        tails = table[bisect_left(firsts, start[0]):bisect_right(table, bottom[q:])]
+    else:
+        tails = _walk(start, bottom[q:], rest, t)
+    out += map(last.__add__, tails)
+    return out
+
+
+def _packed(start: int, k: int, t: int) -> Monomial:
+    # the k indices from start on, t apart: the least tail starting there
+    return tuple(range(start, start + k * t, t))
 
 
 def _walk_count(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> int:
@@ -332,28 +349,34 @@ def t_lex_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
     return _lex_list(max_mon(len(m), ctx), m, ctx)
 
 
-def _batch_slice(items: list, ctx: Context) -> tuple[set[Monomial], list[tuple[int, ...]]] | None:
-    # The members as a set of index tuples, with its index columns (zip(*ms),
-    # one pass, in the set's iteration order), when a batch check column by
-    # column accepts them: one degree, index columns at least t apart, the
-    # first at least 1, the last at most n.  Otherwise None; never raises.
-    # Tuples of exact ints are taken as they are, checked by their types
-    # alone; anything else (bool, float, str, lists, int subclasses) is
-    # converted first.
-    if set(map(type, items)) <= {tuple} and set(map(type, chain.from_iterable(items))) <= {int}:
-        ms = set(items)
-    else:
+def _batch_slice(items: list, ctx: Context) -> tuple[set[Monomial], list[list[int]]] | None:
+    # The members as a set of index tuples, with its index columns (one
+    # itemgetter pass per position, in the set's iteration order), when a
+    # batch check column by column accepts them: one degree, exact ints,
+    # the first column at least 1, the last at most n, adjacent columns at
+    # least t apart.  Otherwise None; never raises.  Tuples are taken as
+    # they are when their columns hold exact ints; anything else (bool,
+    # float, str, lists, int subclasses) is converted first, as the
+    # member-by-member path converts it.  A member the set drops equals one
+    # it keeps, so it converts to the same monomial.  Not zip(*ms): that
+    # holds one iterator per member at once, each tracked by the garbage
+    # collector, and on large sets the collections they set off (67 young
+    # and 6 middle ones on a 51 561-member set) cost more than the columns.
+    tuples = set(map(type, items)) <= {tuple}
+    for convert in (False, True) if tuples else (True,):
         try:
-            ms = {tuple(map(int, u)) for u in items}
+            ms = {tuple(map(int, u)) for u in items} if convert else set(items)
         except Exception:  # the member-by-member path decides it
             return None
-    if len(set(map(len, ms))) > 1:
-        return None
-    cols = list(zip(*ms))
+        members = list(ms)  # read once per position, and a list reads faster than a set
+        degrees = set(map(len, members))
+        if len(degrees) > 1:
+            return None
+        cols = _columns(members, degrees.pop() if degrees else 0)
+        if convert or all(set(map(type, col)) <= {int} for col in cols):
+            break
     if not cols or (
-        min(cols[0]) >= 1
-        and max(cols[-1]) <= ctx.n
-        and all(min(map(sub, b, a)) >= ctx.t for a, b in zip(cols, cols[1:]))
+        min(cols[0]) >= 1 and max(cols[-1]) <= ctx.n and _columns_spread(cols, ctx.t)
     ):
         return ms, cols
     return None
@@ -361,7 +384,7 @@ def _batch_slice(items: list, ctx: Context) -> tuple[set[Monomial], list[tuple[i
 
 def _spread_slice(
     monomials: Iterable[Sequence[int]], ctx: Context
-) -> tuple[set[Monomial], list[tuple[int, ...]]] | None:
+) -> tuple[set[Monomial], list[list[int]]] | None:
     # The members validated once, with their index columns, or None unless
     # all are t-spread of one degree.  The batch check accepts the common
     # case; anything else takes the member-by-member path, which decides it
@@ -371,9 +394,10 @@ def _spread_slice(
     if checked is not None:
         return checked
     ms = {validate_monomial(m, ctx) for m in items}
-    if len({len(m) for m in ms}) > 1 or not all(_gaps_at_least(m, ctx.t) for m in ms):
+    degrees = set(map(len, ms))
+    if len(degrees) > 1 or not all(_gaps_at_least(m, ctx.t) for m in ms):
         return None
-    return ms, list(zip(*ms))
+    return ms, _columns(ms, degrees.pop() if degrees else 0)
 
 
 def is_t_lex_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
@@ -388,7 +412,7 @@ def is_t_lex_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     ms = checked[0]
     # with two members or more the degree is positive, as counting needs
     return len(ms) < 2 or len(ms) == (
-        count_t_lex_mon(slex_min(ms), ctx) - count_t_lex_mon(slex_max(ms), ctx) + 1
+        count_t_lex_mon(max(ms), ctx) - count_t_lex_mon(min(ms), ctx) + 1
     )
 
 
@@ -460,7 +484,7 @@ def is_t_ss_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     bottom = tuple(map(max, cols))
     if bottom not in ms:
         return False
-    return len(ms) == _walk_count(slex_max(ms), bottom, bottom, ctx.t)
+    return len(ms) == _walk_count(min(ms), bottom, bottom, ctx.t)
 
 
 def _has_prefix_in(w: Monomial, gens: set[Monomial]) -> bool:

@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from math import comb
@@ -99,6 +100,26 @@ def test_union_count_matches_slices_and_oracle(n, t):
 @given(ideal=spread_ideals(n_max=12, gens_max=8))
 def test_union_count_matches_slices_hypothesis(ideal):
     assert _union_ft(ideal.gens, ideal.ctx) == component_ft(ideal)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(ideal=spread_ideals(n_max=12, t_max=1, gens_max=8))
+def test_union_count_matches_slices_at_t1_hypothesis(ideal):
+    # at t = 1 every union is 1-spread, so the table holds the most unions
+    assert _union_ft(ideal.gens, ideal.ctx) == component_ft(ideal)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_union_count_on_dense_ideals_at_t1(seed):
+    # 20 or more degree-3 generators in 10-12 variables: hundreds of unions,
+    # many more than the ideal has generators
+    rng = random.Random(seed)
+    n = rng.randint(10, 12)
+    ctx = Context(n, 1)
+    gens = {tuple(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(rng.randint(24, 40))}
+    ideal = MonomialIdeal(ctx, gens)
+    assert len(ideal.gens) == len(gens) >= 20
+    assert _union_ft(ideal.gens, ctx) == component_ft(ideal) == oracle_ft(ideal)
 
 
 def test_union_table_merges_and_drops_unions():
