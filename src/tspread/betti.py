@@ -13,14 +13,15 @@ decided by column passes over each degree's generators (single decrements
 and prefix membership on integer keys, see ``construct.is_t_ss_ideal``),
 and the table, degree sequence and corners all read one count of the
 generators' (degree, max index) shapes, so every invariant here is linear
-in the number of generators.  Realization tests its candidates
-against the ideal built so far the same way: that ideal is strongly stable
-by construction, so a t-spread monomial lies in it exactly when one of its
-prefixes is a generator.  Its new generators come from the same pruned walk
-as ``construct.t_ss_ideal``: the monomials Borel-above the chosen ones are
-grown prefix by prefix, and a prefix that is already a generator is dropped
-with everything below it, so no member of the ideal built so far is built
-again.
+in the number of generators.  The ideal remembers both the verdict and the
+shapes, so asking it for several invariants pays for them once.
+Realization tests its candidates against the ideal built so far the same
+way: that ideal is strongly stable by construction, so a t-spread monomial
+lies in it exactly when one of its prefixes is a generator.  Its new
+generators come from the same pruned walk as ``construct.t_ss_ideal``: the
+monomials Borel-above the chosen ones are grown prefix by prefix, and a
+prefix that is already a generator is dropped with everything below it, so
+no member of the ideal built so far is built again.
 """
 from __future__ import annotations
 
@@ -35,8 +36,9 @@ from .core import (
     MonomialIdeal,
     NotStronglyStableError,
     TSpreadError,
+    _has_prefix_in,
 )
-from .construct import _fresh, _has_prefix_in, _shapes, is_t_ss_ideal, iter_veronese
+from .construct import _fresh, _shapes, is_t_ss_ideal, iter_veronese
 
 
 class BettiTable(Frozen):
@@ -153,7 +155,7 @@ def graded_betti(ideal: MonomialIdeal) -> BettiTable:
     t = ideal.ctx.t
     entries: dict[tuple[int, int], int] = {}
     # generators sharing degree and largest index contribute alike
-    for (j, top), c in _shapes(ideal.gens).items():
+    for (j, top), c in _shapes(ideal).items():
         reach = top - t * (j - 1) - 1
         for i in range(reach + 1):
             entries[(i, j)] = entries.get((i, j), 0) + c * comb(reach, i)
@@ -166,7 +168,7 @@ def degree_sequence(ideal: MonomialIdeal) -> list[tuple[int, int, int]]:
     The slot of degree j is max-index - t(j-1) - 1, the homological position
     a corner in that degree would occupy.
     """
-    return _degree_sequence(_shapes(ideal.gens), ideal.ctx.t)
+    return _degree_sequence(_shapes(ideal), ideal.ctx.t)
 
 
 def _degree_sequence(shapes: Mapping[tuple[int, int], int], t: int) -> list[tuple[int, int, int]]:
@@ -186,7 +188,7 @@ def extremal_corners(ideal: MonomialIdeal) -> CornerConfig:
 
 def _corners(ideal: MonomialIdeal) -> CornerConfig:
     # a corner's value counts the generators of its degree and top index
-    shapes = _shapes(ideal.gens)
+    shapes = _shapes(ideal)
     t = ideal.ctx.t
     kept: list[tuple[int, int]] = []
     best = -1
@@ -255,7 +257,7 @@ def realize_extremal_betti(
         start = len(gens)
         _fresh(chosen, gen_set, ctx.t, gens)
         gen_set.update(gens[start:])
-    running = MonomialIdeal._of_minimal(ctx, tuple(gens))
+    running = MonomialIdeal._of_minimal(ctx, tuple(gens), stable=True)
     detected = _corners(running)
     if detected != config:
         raise InfeasibleCornersError(

@@ -40,7 +40,10 @@ containing given monomials is one greatest-caps walk per degree
 works on columns too: each degree's generators become integer keys, built
 by multiply-add passes over their index columns, and the single
 decrements of each position are counted among the keys in one C-level
-pass per prefix length (``is_t_ss_ideal``).
+pass per prefix length (``is_t_ss_ideal``).  An ideal remembers its
+verdict and its generator shapes (``core.MonomialIdeal``), so each is
+worked out once per ideal, and the constructions whose output is strongly
+stable by construction hand it over with the verdict already set.
 """
 from __future__ import annotations
 
@@ -61,9 +64,10 @@ from .core import (
     _columns,
     _columns_spread,
     _gaps_at_least,
+    _has_prefix_in,
+    _spread_gaps,
     borel_geq,
     cmp_slex,
-    is_t_spread_ideal,
     max_mon,
     min_mon,
     require_t_spread,
@@ -328,7 +332,7 @@ def t_veronese(d: int, ctx: Context) -> list[Monomial]:
 def t_veronese_ideal(d: int, ctx: Context) -> MonomialIdeal:
     if d == 0:
         raise TSpreadError("the unit monomial cannot generate a proper ideal")
-    return MonomialIdeal._of_minimal(ctx, tuple(t_veronese(d, ctx)))
+    return MonomialIdeal._of_minimal(ctx, tuple(t_veronese(d, ctx)), stable=True)
 
 
 def t_lex_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]:
@@ -487,12 +491,6 @@ def is_t_ss_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     return len(ms) == _walk_count(min(ms), bottom, bottom, ctx.t)
 
 
-def _has_prefix_in(w: Monomial, gens: set[Monomial]) -> bool:
-    # membership of a t-spread w in the strongly stable ideal minimally
-    # generated by gens (the prefix lemma of is_t_ss_ideal)
-    return any(w[:j] in gens for j in range(1, len(w) + 1))
-
-
 def _fresh(caps: Sequence[Monomial], low: set[Monomial], t: int, out: list[Monomial]) -> None:
     # Appends to out, descending in slex, the degree-d t-spread w that are
     # Borel-above some cap (w <= u componentwise) and have no proper prefix
@@ -602,10 +600,22 @@ def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
     encoded.  Ideals of fewer than ``core._FEW`` generators are tested one
     generator at a time instead: each decrement w of g, then its prefixes
     ``w[:j]``, j > k, shortest first, looked up as tuples.
+
+    The ideal remembers the verdict, so each ideal is tested once however
+    many calls ask; the closures, lex ideals and Veronese ideals built here
+    come with it already set.
     """
-    if len(ideal.gens) >= _FEW:
-        return _ss_by_columns(ideal)
-    if not is_t_spread_ideal(ideal):
+    return ideal._fact("ss", _ss_kernel)
+
+
+def _ss_kernel(ideal: MonomialIdeal) -> bool:
+    # the stability test, unremembered: by columns from ``_FEW`` generators on
+    return (_ss_by_columns if len(ideal.gens) >= _FEW else _ss_by_generators)(ideal)
+
+
+def _ss_by_generators(ideal: MonomialIdeal) -> bool:
+    # is_t_ss_ideal one generator at a time, as its docstring says
+    if not _spread_gaps(ideal):
         return False
     gens = set(ideal.gens)
     t = ideal.ctx.t
@@ -676,7 +686,7 @@ def t_ss_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
         start = len(gens)
         _fresh(list(caps), low, ctx.t, gens)
         low.update(gens[start:])
-    return MonomialIdeal._of_minimal(ctx, tuple(gens))
+    return MonomialIdeal._of_minimal(ctx, tuple(gens), stable=True)
 
 
 def t_spread_component(ideal: MonomialIdeal) -> Iterator[tuple[int, list[Monomial]]]:
@@ -698,9 +708,15 @@ def t_spread_component(ideal: MonomialIdeal) -> Iterator[tuple[int, list[Monomia
         yield j, current
 
 
-def _shapes(gens: Sequence[Monomial]) -> Counter[tuple[int, int]]:
-    # the generators' (degree, max index) shapes with multiplicity: all that
-    # the Betti numbers, corners and Eliahou-Kervaire counts read of them
+def _shapes(ideal: MonomialIdeal) -> Counter[tuple[int, int]]:
+    # the generators' (degree, max index) shapes with multiplicity, remembered
+    # by the ideal: all that the Betti numbers, corners and Eliahou-Kervaire
+    # counts read of them.  Shared, so read only.
+    return ideal._fact("shapes", _count_shapes)
+
+
+def _count_shapes(ideal: MonomialIdeal) -> Counter[tuple[int, int]]:
+    gens = ideal.gens
     return Counter(zip(map(len, gens), map(itemgetter(-1), gens)))
 
 
@@ -734,15 +750,17 @@ def _union_ft(gens: Sequence[Monomial], ctx: Context) -> list[int]:
     # generator subsets (the identity and gap count of kk's docstring).  A
     # union is the bitmask sum 2^i over its indices, t-spread when no two set
     # bits lie closer than t; it maps to the weight sum (-1)^|S| over the
-    # subsets S with that union
+    # subsets S with that union.  The spread test shifts the union by 1 .. t-1
+    # bits; at t = 1 every union is spread
     n, t, top = ctx.n, ctx.t, ctx.max_degree()
+    shifts = range(1, t)
     table = {0: 1}
     for g in gens:
         mask = sum(1 << i for i in g)
         grown = dict(table)
         for u, c in table.items():
             w = u | mask
-            if not any(w & (w >> s) for s in range(1, t)):
+            if t == 1 or not any(w & (w >> s) for s in shifts):
                 c = grown.get(w, 0) - c
                 if c:
                     grown[w] = c
@@ -799,7 +817,7 @@ def is_t_lex_ideal(ideal: MonomialIdeal) -> bool:
     """
     ctx = require_t_spread_ideal(ideal).ctx
     n, t = ctx.n, ctx.t
-    shapes = _shapes(ideal.gens)
+    shapes = _shapes(ideal)
     # generators come in (degree, slex) order: the last of a shape is its tuple-max
     last = {(len(g), g[-1]): g for g in ideal.gens}
     for k in range(1, ctx.max_degree() + 1):

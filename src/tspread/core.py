@@ -7,16 +7,21 @@ positive spread every monomial of interest is squarefree, and working on the
 index sequences directly is what keeps every algorithm here fast.
 
 All values are immutable and all functions are pure, so everything can be
-shared freely across threads.
+shared freely across threads.  An ideal remembers facts derived from its
+generators (whether it is t-spread or strongly stable, its generator shapes,
+its generators as a set) the first time a call needs them; the memo is no
+part of its value, so equality, hashing, ``repr`` and pickling never see it,
+and two threads racing on it only derive the same fact twice.
 """
 from __future__ import annotations
 
 from itertools import chain, combinations, compress, groupby
 from math import comb
 from operator import itemgetter, not_, or_, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
+_T = TypeVar("_T")
 
 
 class TSpreadError(ValueError):
@@ -59,10 +64,13 @@ class Frozen:
     through ``object.__setattr__`` and returns their values, in slot order,
     from ``_key``.  Equality, hashing, ``repr``, pickling and copying all go
     through ``_key``, so they agree with each other: two values are equal
-    exactly when they have the same class and the same fields.  (Frozen
-    dataclasses would get the same methods, but ``dataclasses`` brings
-    ``inspect``, ``ast`` and ``dis`` into every process importing this
-    package, the command line's included.)
+    exactly when they have the same class and the same fields.  A subclass
+    may end ``__slots__`` with private slots that ``_key`` leaves out (the
+    memo of ``MonomialIdeal``): ``repr`` and ``__setstate__`` stop at the
+    fields, and the subclass sets the rest itself.  (Frozen dataclasses
+    would get the same methods, but ``dataclasses`` brings ``inspect``,
+    ``ast`` and ``dis`` into every process importing this package, the
+    command line's included.)
     """
 
     __slots__ = ()
@@ -222,7 +230,8 @@ def min_mon(d: int, ctx: Context) -> Monomial:
 # passes per position) outweighs a per-generator loop.  On closures of 1 to
 # 64 generators (CPython 3.11, x86-64) the column paths win from about 7
 # generators in ``MonomialIdeal``, 16 in ``construct.is_t_ss_ideal`` and 35
-# in ``is_t_spread_ideal``, where they lose at most a few microseconds below.
+# in the gap test of ``is_t_spread_ideal``, where they lose at most a few
+# microseconds below.
 _FEW = 16
 
 
@@ -362,27 +371,52 @@ class MonomialIdeal(Frozen):
     validated and minimalized degree by degree on their index columns (see
     ``minimalize``); other input is validated member by member, so the
     first offender raises.
+
+    Facts derived from the generators are remembered in a private memo, no
+    field of the value: whether the ideal is t-spread and whether it is
+    t-strongly stable (a True stability verdict implies the first), the
+    generators' (degree, max index) shapes, and the generators as a set.
+    Each is derived by the first call that needs it; a copy or an unpickled
+    ideal starts with an empty memo.  Once the ideal is known to be strongly
+    stable, ``contains`` answers t-spread input by prefix lookups.
     """
 
-    __slots__ = ("ctx", "gens")
+    __slots__ = ("ctx", "gens", "_memo")
     ctx: Context
     gens: tuple[Monomial, ...]
 
     def __init__(self, ctx: Context, gens: Iterable[Sequence[int]] = ()) -> None:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "gens", _canonical(gens, ctx))
+        object.__setattr__(self, "_memo", {})
 
     def _key(self) -> tuple:
         return (self.ctx, self.gens)
 
+    def __setstate__(self, state: tuple) -> None:
+        super().__setstate__(state)
+        object.__setattr__(self, "_memo", {})
+
     @classmethod
-    def _of_minimal(cls, ctx: Context, gens: tuple[Monomial, ...]) -> MonomialIdeal:
+    def _of_minimal(
+        cls, ctx: Context, gens: tuple[Monomial, ...], stable: bool = False
+    ) -> MonomialIdeal:
         """Unchecked constructor for generators already valid, minimal and in
-        (degree, slex) order, as the constructions here build them."""
+        (degree, slex) order, as the constructions here build them.  With
+        ``stable`` the caller vouches that the ideal is t-strongly stable,
+        as the closures, lex ideals and Veronese ideals are by construction."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "ctx", ctx)
         object.__setattr__(ideal, "gens", gens)
+        object.__setattr__(ideal, "_memo", {"ss": True} if stable else {})
         return ideal
+
+    def _fact(self, name: str, derive: Callable[[MonomialIdeal], _T]) -> _T:
+        # the derived fact ``name``, remembered from the first call that needs it
+        memo = self._memo
+        if name not in memo:
+            memo[name] = derive(self)
+        return memo[name]
 
     @property
     def is_zero(self) -> bool:
@@ -396,11 +430,39 @@ class MonomialIdeal(Frozen):
         return [g for g in self.gens if len(g) == d]
 
     def contains(self, u: Sequence[int]) -> bool:
-        """Monomial membership: some generator's support lies inside u's."""
+        """Monomial membership: some generator's support lies inside u's.
+
+        When the ideal is already known to be t-strongly stable and ``u`` is
+        a tuple of exact ints, strictly increasing from 1 on with gaps of at
+        least t, the answer is whether some prefix ``u[:j]`` is a generator
+        (the prefix lemma of ``construct.is_t_ss_ideal``): at most deg u set
+        lookups.  Any other input, or an ideal not yet known to be stable,
+        is answered by a scan of the generators; this method never tests
+        stability itself.
+        """
+        if (
+            self._memo.get("ss")
+            and type(u) is tuple
+            and u
+            and set(map(type, u)) == {int}
+            and u[0] >= 1
+            and _gaps_at_least(u, self.ctx.t)
+        ):
+            return _has_prefix_in(u, self._fact("set", _gen_set))
         return any(map(set(u).issuperset, self.gens))
 
 
-def is_t_spread_ideal(ideal: MonomialIdeal) -> bool:
+def _gen_set(ideal: MonomialIdeal) -> frozenset[Monomial]:
+    return frozenset(ideal.gens)
+
+
+def _has_prefix_in(w: Monomial, gens: Container[Monomial]) -> bool:
+    # membership of a t-spread w in the strongly stable ideal minimally
+    # generated by gens (the prefix lemma of construct.is_t_ss_ideal)
+    return any(w[:j] in gens for j in range(1, len(w) + 1))
+
+
+def _spread_gaps(ideal: MonomialIdeal) -> bool:
     # the gap test on the index columns of each run of one degree; a scalar
     # loop below ``_FEW`` generators
     t = ideal.ctx.t
@@ -411,6 +473,11 @@ def is_t_spread_ideal(ideal: MonomialIdeal) -> bool:
             if g[i + 1] - g[i] < t:
                 return False
     return True
+
+
+def is_t_spread_ideal(ideal: MonomialIdeal) -> bool:
+    """Whether every generator is t-spread; remembered by the ideal."""
+    return ideal._memo.get("ss") or ideal._fact("spread", _spread_gaps)
 
 
 def require_t_spread_ideal(ideal: MonomialIdeal) -> MonomialIdeal:

@@ -98,7 +98,7 @@ def ft_vector(ideal: MonomialIdeal) -> list[int]:
     ctx = ideal.ctx
     if is_t_ss_ideal(ideal):
         # generators sharing degree and largest index contribute alike
-        shapes = _shapes(ideal.gens)
+        shapes = _shapes(ideal)
         return [1] + [
             card_veronese(k, ctx) - _ek_members(shapes, k, ctx)
             for k in range(1, ctx.max_degree() + 1)
@@ -201,8 +201,9 @@ def _lex_ideal(f: list[int], bounds: list[int], ctx: Context) -> MonomialIdeal:
         if shadow < size:
             first, last = _unrank(shadow, j, ctx), _unrank(size - 1, j, ctx)
             gens += _lex_list(first, last, ctx)
-    # minimal: a t-spread multiple of an earlier generator is in the shadow
-    return MonomialIdeal._of_minimal(ctx, tuple(gens))
+    # minimal: a t-spread multiple of an earlier generator is in the shadow;
+    # strongly stable, as each slice is an initial slex segment
+    return MonomialIdeal._of_minimal(ctx, tuple(gens), stable=True)
 
 
 def t_lex_ideal_from_f(f: Sequence[int], ctx: Context) -> MonomialIdeal:

@@ -7,8 +7,9 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import strategies as st
 
+from tspread import construct
 from tspread.construct import t_ss_ideal
-from tspread.core import Context, MonomialIdeal, minimalize
+from tspread.core import _FEW, Context, MonomialIdeal, minimalize
 from tspread.oracle import enumerate_veronese, oracle_ss_closure
 
 # Basic monomials realizing corners {(6,2),(5,4),(4,5),(3,7)} with values
@@ -129,15 +130,20 @@ def minimal_builds(monkeypatch):
     """Checks every ideal built by the unchecked constructor, and lists them.
 
     Each must come with its generators minimal and in (degree, slex) order,
-    which is exactly what ``minimalize`` returns.
+    which is exactly what ``minimalize`` returns.  One handed over as
+    strongly stable must pass the stability kernel that the public test
+    would run on it, uncached, on an unflagged copy.
     """
     built = []
     unchecked = MonomialIdeal._of_minimal.__func__
 
-    def checked(cls, ctx, gens):
+    def checked(cls, ctx, gens, stable=False):
         assert gens == tuple(minimalize(gens))
+        if stable:
+            kernel = construct._ss_by_columns if len(gens) >= _FEW else construct._ss_by_generators
+            assert kernel(unchecked(cls, ctx, gens)), gens
         built.append(gens)
-        return unchecked(cls, ctx, gens)
+        return unchecked(cls, ctx, gens, stable)
 
     monkeypatch.setattr(MonomialIdeal, "_of_minimal", classmethod(checked))
     return built

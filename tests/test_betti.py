@@ -239,6 +239,12 @@ def test_large_closure_betti_is_fast(closure_40, monkeypatch):
     # one binomial row per (degree, max index) shape, not per generator
     shapes = {(len(g), g[-1]) for g in closed.gens}
     assert len(rows) == sum(top - 2 * (d - 1) for d, top in shapes) < CLOSURE_40_CTX.n * len(shapes)
+    # the closure comes with its verdict set; the column stability test too,
+    # on an unflagged ideal of the same generators, under the same bound
+    fresh = MonomialIdeal._of_minimal(closed.ctx, closed.gens)
+    start = time.perf_counter()
+    assert graded_betti(fresh) == table
+    assert time.perf_counter() - start < 10.0
 
 
 def realization_matches_oracle(ideal):

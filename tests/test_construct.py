@@ -781,9 +781,17 @@ def scalar_is_t_ss_ideal(ideal):
 
 
 def stability_answers(ideal):
-    """The answers of the reference, the column kernel and the public test
-    (one generator at a time below ``core._FEW`` generators), as a set."""
-    return {scalar_is_t_ss_ideal(ideal), construct._ss_by_columns(ideal), is_t_ss_ideal(ideal)}
+    """The answers of the reference, the column kernel, the one-generator
+    kernel and the public test, as a set.  The public test runs on an
+    unflagged copy, whose memo starts empty, so it reaches its kernel (one
+    generator at a time below ``core._FEW`` generators) whatever the memo
+    of ``ideal`` holds."""
+    return {
+        scalar_is_t_ss_ideal(ideal),
+        construct._ss_by_columns(ideal),
+        construct._ss_by_generators(ideal),
+        is_t_ss_ideal(MonomialIdeal._of_minimal(ideal.ctx, ideal.gens)),
+    }
 
 
 def stability_variants(closed, drop, rng):
@@ -871,6 +879,87 @@ def test_prefix_membership_matches_scan(n, t, minimal_builds):
             assert construct._has_prefix_in(w, gens) == ideal.contains(w), (ideal.gens, w)
         assert t_ss_ideal(ideal) == ideal
     assert minimal_builds  # t_ss_ideal went through the unchecked constructor
+
+
+def scan_contains(ideal, u):
+    """Membership by the generator scan: some generator's support inside u's."""
+    return any(set(g) <= set(u) for g in ideal.gens)
+
+
+def membership_inputs(ctx):
+    """What ``contains`` is asked: every t-spread monomial of the ring, and
+    each of them reversed, with its first index twice, with index 0 in
+    front, with index n + 1 behind, with an index 1 apart (not t-spread
+    unless t = 1) and as a list; then () and the single indices 0 and n + 1."""
+    out = [(), (0,), (ctx.n + 1,)]
+    for u in spread_monomials(ctx.n, ctx.t):
+        out += [u, u[::-1], u[:1] + u, (0,) + u, u + (ctx.n + 1,), u + (u[-1] + 1,), list(u)]
+    return out
+
+
+def membership_variants(ideal):
+    """The ideal cold (no memo), memo-warm (its verdict known, True or
+    False) and, through ``t_ss_ideal``, its closure flagged at construction."""
+    cold = MonomialIdeal._of_minimal(ideal.ctx, ideal.gens)
+    warm = MonomialIdeal._of_minimal(ideal.ctx, ideal.gens)
+    is_t_ss_ideal(warm)
+    return [cold, warm, t_ss_ideal(ideal)]
+
+
+@pytest.mark.parametrize("n,t", CLOSURE_RINGS)
+def test_contains_matches_generator_scan(n, t):
+    # the prefix path answers exactly as the scan, and only a stable verdict
+    # the ideal already holds opens it.  The closures are their own
+    # closures, so all three variants of one share its generators.
+    inputs = membership_inputs(Context(n, t))
+    supports = [set(u) for u in inputs]
+    for ideal in [ideal for ideal, _ in small_ideals(n, t)] + small_closures(n, t):
+        gens = [set(g) for g in ideal.gens]
+        want = [any(g <= u for g in gens) for u in supports]
+        cold, warm, closed = membership_variants(ideal)
+        for case in (cold, warm) + ((closed,) if closed == ideal else ()):
+            assert list(map(case.contains, inputs)) == want, case
+        assert "ss" not in cold._memo  # contains never tests stability
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(ideal=spread_ideals(), data=st.data())
+def test_contains_matches_generator_scan_hypothesis(ideal, data):
+    # unsorted, duplicated, out-of-range and non-t-spread input included
+    index = st.integers(0, ideal.ctx.n + 1)
+    u = tuple(data.draw(st.lists(index, max_size=6)))
+    for case in membership_variants(ideal):
+        for probe in (u, tuple(sorted(set(u))), list(u)):
+            assert case.contains(probe) == scan_contains(case, probe), (case.gens, probe)
+
+
+def test_each_ideal_runs_the_stability_kernel_once(monkeypatch):
+    from tspread import betti, kk
+
+    runs = []
+    for name in ("_ss_by_columns", "_ss_by_generators"):
+        kernel = getattr(construct, name)
+        monkeypatch.setattr(construct, name, lambda ideal, k=kernel: runs.append(ideal) or k(ideal))
+
+    def invariants(ideal):
+        assert is_t_ss_ideal(ideal)
+        betti.graded_betti(ideal)
+        betti.extremal_corners(ideal)
+        kk.ft_vector(ideal)
+        kk.t_lex_ideal_of(ideal)
+
+    ctx = Context(25, 3)
+    large = MonomialIdeal(ctx, REALIZE_GENERATORS)  # columns: 23 >= core._FEW generators
+    small = MonomialIdeal(ctx, REALIZE_GENERATORS[:13])  # one generator at a time
+    for ideal in (large, small):
+        assert ideal.contains(ideal.gens[-1] + (25,)) and not runs  # contains never tests
+        invariants(ideal)
+        invariants(ideal)
+        assert runs == [ideal]
+        runs.clear()
+    closed = t_ss_ideal(MonomialIdeal(ctx, REALIZE_BASICS))
+    invariants(closed)
+    assert closed == large and not runs
 
 
 @pytest.mark.parametrize("n,t", CLOSURE_RINGS)
@@ -1010,3 +1099,9 @@ def test_large_closure_is_fast(closure_40):
     assert len(closed.gens) == 129913
     assert closed.gens[0] == (1, 3, 5, 7) and closed.gens[-1] == (7, 15, 25, 33, 40)
     assert is_t_ss_ideal(closed)
+    # the closure comes with its verdict set; the column kernel, on an
+    # unflagged ideal of the same generators, under the same bound
+    fresh = MonomialIdeal._of_minimal(closed.ctx, closed.gens)
+    start = time.perf_counter()
+    assert is_t_ss_ideal(fresh)
+    assert time.perf_counter() - start < 10.0

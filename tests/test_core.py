@@ -17,7 +17,7 @@ from conftest import (
     REALIZE_GENERATORS,
     spread_monomials,
 )
-from tspread.betti import BettiTable, CornerConfig
+from tspread.betti import BettiTable, CornerConfig, graded_betti
 from tspread.core import (
     Context,
     EmptyVeroneseError,
@@ -277,10 +277,19 @@ class TestValueClasses:
 
     def test_pickle_and_copy(self, cls, args, kwargs, text, other):
         value = cls(*args)
+        if cls is MonomialIdeal:  # its memo filled, which is no part of the value
+            assert graded_betti(value).total(0) == 2 and value.contains((1, 3, 5))
+            assert set(value._memo) == {"ss", "shapes", "set"}
+            assert value == cls(**kwargs) and hash(value) == hash(cls(**kwargs))
+            assert repr(value) == text
         copies = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
         copies += [copy.copy(value), copy.deepcopy(value)]
         for c in copies:
             assert type(c) is cls and c == value and repr(c) == text
+            if cls is not BettiTable:  # its entries are a dict
+                assert hash(c) == hash(value)
+            if cls is MonomialIdeal:  # a copy starts with an empty memo
+                assert c._memo == {}
             with pytest.raises(AttributeError):
                 setattr(c, next(iter(kwargs)), None)
 
