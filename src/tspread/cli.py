@@ -208,7 +208,7 @@ def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:
     so the sizes of those sets, counted without building them, bound it.
     """
     core.require_t_spread_ideal(ideal)
-    return sum(count.count_t_ss_mon(g, ctx) for g in ideal.gens)
+    return sum(count._ss_size(g, ctx.t) for g in ideal.gens)
 
 
 def _lex_ideal_size(f: list[int] | None, ideal: MonomialIdeal | None, ctx: Context) -> int:

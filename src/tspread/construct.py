@@ -60,12 +60,10 @@ from .core import (
     Monomial,
     MonomialIdeal,
     TSpreadError,
-    _FEW,
     _columns,
     _columns_spread,
     _gaps_at_least,
     _has_prefix_in,
-    _spread_gaps,
     borel_geq,
     cmp_slex,
     max_mon,
@@ -597,43 +595,13 @@ def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
     The degrees go up one at a time, and each degree's keys join the set
     before its decrements are looked up: every prefix looked up has degree
     at most d, so a degree that fails returns before any higher degree is
-    encoded.  Ideals of fewer than ``core._FEW`` generators are tested one
-    generator at a time instead: each decrement w of g, then its prefixes
-    ``w[:j]``, j > k, shortest first, looked up as tuples.
+    encoded.
 
     The ideal remembers the verdict, so each ideal is tested once however
     many calls ask; the closures, lex ideals and Veronese ideals built here
     come with it already set.
     """
-    return ideal._fact("ss", _ss_kernel)
-
-
-def _ss_kernel(ideal: MonomialIdeal) -> bool:
-    # the stability test, unremembered: by columns from ``_FEW`` generators on
-    return (_ss_by_columns if len(ideal.gens) >= _FEW else _ss_by_generators)(ideal)
-
-
-def _ss_by_generators(ideal: MonomialIdeal) -> bool:
-    # is_t_ss_ideal one generator at a time, as its docstring says
-    if not _spread_gaps(ideal):
-        return False
-    gens = set(ideal.gens)
-    t = ideal.ctx.t
-    for g in ideal.gens:
-        prev = 1 - t
-        for k, i in enumerate(g):
-            if i - 1 - prev >= t:  # g with index k lowered by one stays t-spread
-                # the prefixes w[:j], j > k, of the decrement w, shortest first
-                w = g[:k] + (i - 1,)
-                if w not in gens:
-                    for x in g[k + 1:]:
-                        w += (x,)
-                        if w in gens:
-                            break
-                    else:
-                        return False
-            prev = i
-    return True
+    return ideal._fact("ss", _ss_by_columns)
 
 
 def _ss_by_columns(ideal: MonomialIdeal) -> bool:

@@ -225,16 +225,6 @@ def min_mon(d: int, ctx: Context) -> Monomial:
     return tuple(ctx.n - (d - 1 - q) * ctx.t for q in range(d))
 
 
-# Below this many generators a scalar pass over them beats the column
-# passes, whose fixed cost per degree (index columns, then a few C-level
-# passes per position) outweighs a per-generator loop.  On closures of 1 to
-# 64 generators (CPython 3.11, x86-64) the column paths win from about 7
-# generators in ``MonomialIdeal``, 16 in ``construct.is_t_ss_ideal`` and 35
-# in the gap test of ``is_t_spread_ideal``, where they lose at most a few
-# microseconds below.
-_FEW = 16
-
-
 def minimalize(gens: Iterable[Sequence[int]]) -> list[Monomial]:
     """Minimal generators of the squarefree ideal the input generates.
 
@@ -245,29 +235,8 @@ def minimalize(gens: Iterable[Sequence[int]]) -> list[Monomial]:
     lookup pass per e-subset of positions, over the whole group at once,
     when the C(d, e) subsets are no more than the kept ones, else a scan of
     the kept ones per support.  The unit support divides every other.
-    Fewer than ``_FEW`` supports are met one at a time, the same way.
     """
-    return _minimal([tuple(sorted(set(g))) for g in gens])
-
-
-def _minimal(supports: list[Monomial]) -> list[Monomial]:
-    # ``minimalize`` of supports already canonical, as ``MonomialIdeal`` has them
-    if len(supports) >= _FEW:
-        return _minimal_groups(_groups(supports))
-    kept: list[Monomial] = []
-    by_size: dict[int, set[Monomial]] = {}
-    for g in sorted(set(supports), key=lambda g: (len(g), g)):
-        support = frozenset(g)
-        for e, smaller in by_size.items():
-            if comb(len(g), e) <= len(smaller):
-                if not smaller.isdisjoint(combinations(g, e)):
-                    break
-            elif any(map(support.issuperset, smaller)):
-                break
-        else:
-            kept.append(g)
-            by_size.setdefault(len(g), set()).add(g)
-    return kept
+    return _minimal(_groups(tuple(sorted(set(g))) for g in gens))
 
 
 def _groups(supports: Iterable[Monomial]) -> list[tuple[int, list[Monomial], list[list[int]]]]:
@@ -289,8 +258,9 @@ def _columns(ms: Sequence[Monomial], d: int) -> list[list[int]]:
     return [list(map(itemgetter(i), ms)) for i in range(d)]
 
 
-def _minimal_groups(groups: list[tuple[int, list[Monomial], list[list[int]]]]) -> list[Monomial]:
-    # ``_minimal`` by the index columns of each size, as ``_groups`` lists them
+def _minimal(groups: list[tuple[int, list[Monomial], list[list[int]]]]) -> list[Monomial]:
+    # ``minimalize`` of canonical supports, by the index columns of each
+    # size, as ``_groups`` lists them
     kept: list[Monomial] = []
     by_size: dict[int, set[Monomial]] = {}
     for d, ms, cols in groups:
@@ -318,30 +288,25 @@ def _columns_spread(cols: Sequence[Sequence[int]], t: int) -> bool:
 
 def _canonical(gens: Iterable[Sequence[int]], ctx: Context) -> tuple[Monomial, ...]:
     # The validated minimal generators of a proper ideal, (degree, slex)
-    # order.  From ``_FEW`` members on, tuples of exact ints whose columns
-    # increase strictly inside [1, n], degree by degree, with no unit
-    # monomial, pass a batch check and are minimalized as they are; anything
-    # else is validated member by member in input order, so the first
-    # offender raises.
+    # order.  Tuples of exact ints whose columns increase strictly inside
+    # [1, n], degree by degree, with no unit monomial, pass a batch check and
+    # are minimalized as they are; anything else is validated member by
+    # member in input order, so the first offender raises.
     items = list(gens)
-    if (
-        len(items) >= _FEW
-        and set(map(type, items)) <= {tuple}
-        and set(map(type, chain.from_iterable(items))) <= {int}
-    ):
+    if set(map(type, items)) <= {tuple} and set(map(type, chain.from_iterable(items))) <= {int}:
         groups = _groups(items)
         if all(
             d and min(cols[0]) >= 1 and max(cols[-1]) <= ctx.n and _columns_spread(cols, 1)
             for d, _, cols in groups
         ):
-            return tuple(_minimal_groups(groups))
+            return tuple(_minimal(groups))
     canon = []
     for g in items:
         m = validate_monomial(g, ctx)
         if not m:
             raise TSpreadError("the unit monomial cannot generate a proper ideal")
         canon.append(m)
-    return tuple(_minimal(canon))
+    return tuple(_minimal(_groups(canon)))
 
 
 def exchange_moves(u: Monomial, ctx: Context) -> Iterator[Monomial]:
@@ -367,10 +332,9 @@ class MonomialIdeal(Frozen):
     Generators are canonicalized on construction: validated against the
     context, minimalized (no generator divides another) and sorted by degree
     then descending slex.  The unit monomial is rejected, so every ideal
-    here is proper.  From ``_FEW`` generators on, tuples of exact ints are
-    validated and minimalized degree by degree on their index columns (see
-    ``minimalize``); other input is validated member by member, so the
-    first offender raises.
+    here is proper.  Tuples of exact ints are validated and minimalized
+    degree by degree on their index columns (see ``minimalize``); other
+    input is validated member by member, so the first offender raises.
 
     Facts derived from the generators are remembered in a private memo, no
     field of the value: whether the ideal is t-spread and whether it is
@@ -463,16 +427,9 @@ def _has_prefix_in(w: Monomial, gens: Container[Monomial]) -> bool:
 
 
 def _spread_gaps(ideal: MonomialIdeal) -> bool:
-    # the gap test on the index columns of each run of one degree; a scalar
-    # loop below ``_FEW`` generators
+    # the gap test on the index columns of each run of one degree
     t = ideal.ctx.t
-    if len(ideal.gens) >= _FEW:
-        return all(_columns_spread(_columns(list(run), d), t) for d, run in groupby(ideal.gens, len))
-    for g in ideal.gens:
-        for i in range(len(g) - 1):
-            if g[i + 1] - g[i] < t:
-                return False
-    return True
+    return all(_columns_spread(_columns(list(run), d), t) for d, run in groupby(ideal.gens, len))
 
 
 def is_t_spread_ideal(ideal: MonomialIdeal) -> bool:

@@ -158,7 +158,12 @@ def count_t_ss_mon(u: Sequence[int], ctx: Context) -> int:
     m = require_t_spread(u, ctx)
     if not m:
         raise TSpreadError("counting requires degree at least 1")
-    return _bounded_chains([i - k * (ctx.t - 1) for k, i in enumerate(m)])
+    return _ss_size(m, ctx.t)
+
+
+def _ss_size(m: Sequence[int], t: int) -> int:
+    # ``count_t_ss_mon`` of a t-spread index tuple of degree at least 1, unchecked
+    return _bounded_chains([i - k * (t - 1) for k, i in enumerate(m)])
 
 
 def cq_operator(args: Sequence[int]) -> int:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tspread import construct
 from tspread.construct import t_ss_ideal
-from tspread.core import _FEW, Context, MonomialIdeal, minimalize
+from tspread.core import Context, MonomialIdeal, minimalize
 from tspread.oracle import enumerate_veronese, oracle_ss_closure
 
 # Basic monomials realizing corners {(6,2),(5,4),(4,5),(3,7)} with values
@@ -140,8 +140,7 @@ def minimal_builds(monkeypatch):
     def checked(cls, ctx, gens, stable=False):
         assert gens == tuple(minimalize(gens))
         if stable:
-            kernel = construct._ss_by_columns if len(gens) >= _FEW else construct._ss_by_generators
-            assert kernel(unchecked(cls, ctx, gens)), gens
+            assert construct._ss_by_columns(unchecked(cls, ctx, gens)), gens
         built.append(gens)
         return unchecked(cls, ctx, gens, stable)
 

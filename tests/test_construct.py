@@ -781,15 +781,12 @@ def scalar_is_t_ss_ideal(ideal):
 
 
 def stability_answers(ideal):
-    """The answers of the reference, the column kernel, the one-generator
-    kernel and the public test, as a set.  The public test runs on an
-    unflagged copy, whose memo starts empty, so it reaches its kernel (one
-    generator at a time below ``core._FEW`` generators) whatever the memo
-    of ``ideal`` holds."""
+    """The answers of the reference, the column kernel and the public test,
+    as a set.  The public test runs on an unflagged copy, whose memo starts
+    empty, so it reaches the kernel whatever the memo of ``ideal`` holds."""
     return {
         scalar_is_t_ss_ideal(ideal),
         construct._ss_by_columns(ideal),
-        construct._ss_by_generators(ideal),
         is_t_ss_ideal(MonomialIdeal._of_minimal(ideal.ctx, ideal.gens)),
     }
 
@@ -937,9 +934,8 @@ def test_each_ideal_runs_the_stability_kernel_once(monkeypatch):
     from tspread import betti, kk
 
     runs = []
-    for name in ("_ss_by_columns", "_ss_by_generators"):
-        kernel = getattr(construct, name)
-        monkeypatch.setattr(construct, name, lambda ideal, k=kernel: runs.append(ideal) or k(ideal))
+    kernel = construct._ss_by_columns
+    monkeypatch.setattr(construct, "_ss_by_columns", lambda ideal: runs.append(ideal) or kernel(ideal))
 
     def invariants(ideal):
         assert is_t_ss_ideal(ideal)
@@ -949,8 +945,9 @@ def test_each_ideal_runs_the_stability_kernel_once(monkeypatch):
         kk.t_lex_ideal_of(ideal)
 
     ctx = Context(25, 3)
-    large = MonomialIdeal(ctx, REALIZE_GENERATORS)  # columns: 23 >= core._FEW generators
-    small = MonomialIdeal(ctx, REALIZE_GENERATORS[:13])  # one generator at a time
+    # one kernel for every size: all 23 generators, and the 13 of degree 2
+    large = MonomialIdeal(ctx, REALIZE_GENERATORS)
+    small = MonomialIdeal(ctx, REALIZE_GENERATORS[:13])
     for ideal in (large, small):
         assert ideal.contains(ideal.gens[-1] + (25,)) and not runs  # contains never tests
         invariants(ideal)

@@ -337,7 +337,7 @@ class TestValueValidation:
 @pytest.mark.parametrize("n,t", IDEAL_RINGS)
 def test_t_spread_ideal_matches_gap_test(n, t):
     # every squarefree monomial of the ring alone, beside the one before it,
-    # and in runs of 20 of one degree, which the column test takes
+    # and in runs of 20 of one degree: the column gap test on each
     ctx = Context(n, t)
     ms = spread_monomials(n, 1)
     runs = (ms[i:i + 20] for i in range(len(ms)) if len(set(map(len, ms[i:i + 20]))) == 1)
@@ -400,7 +400,7 @@ def ideal_members(draw, n_max=10):
         st.sampled_from(["12", "x", "3"]),
         valid.map(list),
     )
-    # few members are validated one by one, many by the batch check
+    # short and long lists, both through the batch check when valid
     members = draw(st.one_of(st.lists(valid, max_size=8), st.lists(valid, min_size=16, max_size=40)))
     for _ in range(draw(st.integers(0, 3))):
         members.insert(draw(st.integers(0, len(members))), draw(offender))
@@ -442,3 +442,5 @@ def test_valid_tuples_skip_member_validation(monkeypatch):
 
     monkeypatch.setattr("tspread.core.validate_monomial", refuse)
     assert MonomialIdeal(REALIZE_CTX, gens).gens == want == REALIZE_GENERATORS
+    # however few they are
+    assert MonomialIdeal(REALIZE_CTX, ((2, 5, 9, 13), (1, 4), (2, 5, 9))).gens == ((1, 4), (2, 5, 9))
