@@ -703,63 +703,6 @@ def _ek_members(shapes: Mapping[tuple[int, int], int], k: int, ctx: Context) -> 
     )
 
 
-def _times(p: list[int], q: list[int], size: int) -> list[int]:
-    # the first `size` coefficients of the product of two polynomials
-    out = [0] * min(len(p) + len(q) - 1, size)
-    for i, a in enumerate(p[:size]):
-        for j, b in enumerate(q[:size - i]):
-            out[i + j] += a * b
-    return out
-
-
-def _union_ft(gens: Sequence[Monomial], ctx: Context) -> list[int]:
-    # the quotient counts f_0, ..., f_D (D = ctx.max_degree()) of the ideal
-    # the t-spread gens generate, by inclusion-exclusion over the unions of
-    # generator subsets (the identity and gap count of kk's docstring).  A
-    # union is the bitmask sum 2^i over its indices, t-spread when no two set
-    # bits lie closer than t; it maps to the weight sum (-1)^|S| over the
-    # subsets S with that union.  The spread test shifts the union by 1 .. t-1
-    # bits; at t = 1 every union is spread
-    n, t, top = ctx.n, ctx.t, ctx.max_degree()
-    shifts = range(1, t)
-    table = {0: 1}
-    for g in gens:
-        mask = sum(1 << i for i in g)
-        grown = dict(table)
-        for u, c in table.items():
-            w = u | mask
-            if t == 1 or not any(w & (w >> s) for s in shifts):
-                c = grown.get(w, 0) - c
-                if c:
-                    grown[w] = c
-                else:
-                    del grown[w]
-        table = grown
-    gaps: dict[int, list[int]] = {}
-
-    def gap(length: int) -> list[int]:
-        # e free indices t apart between two members `length` apart:
-        # C(length - (e+1)t + e, e) ways, for e < length // t
-        if length not in gaps:
-            gaps[length] = [comb(length - (e + 1) * t + e, e) for e in range(length // t)]
-        return gaps[length]
-
-    f = [0] * (top + 1)
-    for u, c in table.items():
-        # x^e counts the multiples of u with e indices outside it, e <= D - |u|
-        size = u.bit_count()
-        poly, prev = [c], 1 - t
-        while u:
-            low = u & -u
-            i = low.bit_length() - 1
-            poly = _times(poly, gap(i - prev), top + 1 - size)
-            prev = i
-            u ^= low
-        for e, x in enumerate(_times(poly, gap(n + t - prev), top + 1 - size)):
-            f[size + e] += x
-    return f
-
-
 def is_t_lex_ideal(ideal: MonomialIdeal) -> bool:
     """Whether every degree slice of the ideal is an initial slex segment.
 

@@ -16,39 +16,35 @@ ideal holds, in degree k, the sum over g of the number of t-spread
 That costs a binomial per generator shape and degree
 (``construct._ek_members``).
 
-Any other t-spread ideal is counted from the unions of its generators
-(``construct._union_ft``), and no monomial is built either.  A t-spread w
-lies outside the ideal exactly when no generator divides it, so with
-N_k(u) the number of degree-k t-spread monomials divisible by u,
-inclusion-exclusion gives
+Any other t-spread ideal is counted by a pivot recursion on the last
+variable (after Bayer-Stillman and Bigatti), and no monomial is built
+either.  Let Q(G, m) be the polynomial whose x^k coefficient counts the
+degree-k t-spread w in [1, m] that no g in G divides, every g in G inside
+[1, m].  A w without m lies in [1, m - 1], where a g containing m divides
+nothing; a w with m is w' + {m}, w' t-spread in [1, m - t], and g divides
+it exactly when g without m lies in w'.  So
 
-    f_k = sum over generator subsets S of (-1)^|S| N_k(union of S)
-        = sum over distinct unions u of mu(u) N_k(u),
+    Q(G, m) = Q({g : m not in g}, m - 1) + x Q(G', m - t),
+    G' = {g - {m} : m in g} + {g : max g <= m - t},
 
-where mu(u) sums (-1)^|S| over the subsets S whose union is u, and the
-empty subset gives the union () and N_k(()) = |degree k|.  A union that is
-not t-spread divides no t-spread monomial, and neither does any union
-containing it, so it adds 0.  The table of unions and weights grows one
-generator g at a time: each entry (u, c) adds weight -c to the union of
-u and g when that union is t-spread; equal unions merge, and entries of
-weight 0 drop.
+the second term 0 when {m} is in G (it divides every such w).  A g with
+an index in (m - t, m) and not m is in neither part of G': w' has no such
+index, so g divides no w with m.  Q(G, m) = 1 for m <= 0, where G is
+empty; an empty G follows the same recursion, Pascal's rule for its
+closed form C(m - (e-1)(t-1), e).  The ideal's counts are Q(gens, n).
 
-*Gap count.*  Put the members of a t-spread union u between the sentinels
-1 - t and n + t.  A degree-k t-spread multiple of u places its k - |u|
-other indices in the gaps between consecutive members: in a gap (a, b),
-e indices at least t from a, from b and from each other.  They are the
-t-spread e-subsets of the b - a - 2t + 1 integers from a + t to b - t;
-lowering the i-th of them by (i - 1)(t - 1) makes these the e-subsets of
-b - a - 2t + 1 - (e - 1)(t - 1) integers, so a gap holds e of them in
-C(b - a - (e + 1)t + e, e) ways.  Gaps fill independently, so N(u), as a
-polynomial whose x^k coefficient is N_k(u), is x^|u| times the product of
-the gap polynomials.  Each of those depends on b - a alone and is made once
-per call; the products keep only the coefficients up to the maximal degree.
-
-At t = 1 every union is 1-spread, so r generators can make up to 2^r
-unions.  Each nonempty union in the table is a member of the ideal, so the
-table never has more entries than the degree slices, which counting them
-one by one would build, have monomials.
+*Nodes.*  Unfolded from m = n down, the recursion reaches (G, m) by
+choosing the indices W of w above m, and G is then the set of g cut to
+[1, m] over the generators whose indices above m all lie in W.  So G
+depends only on which of the generators' parts above m lie in W, and
+level m holds at most one node per distinct t-spread union of those parts
+(the empty union included): equal nodes merge, and each is visited once.
+A node's weight, the polynomial counting the W that reach it by size,
+passes to its two children, multiplied by x on the way to the second; the
+weight that reaches m = 0 is the ideal's counts.  Weights are packed into
+one integer, a fixed number of bytes per coefficient, so a step is one
+shift and one add; every coefficient counts t-spread subsets of [1, n], so
+slots wide enough for the number of all of them never overflow.
 
 Lex ideals are built from their generators alone.  Rank the degree-j
 t-spread monomials 0, 1, ... down the slex order, so that the initial
@@ -63,6 +59,7 @@ h_j and the slex walk lists the interval; no segment or shadow is built.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -78,7 +75,6 @@ from .construct import (
     _ek_members,
     _lex_list,
     _shapes,
-    _union_ft,
     _unrank,
     is_t_ss_ideal,
 )
@@ -92,8 +88,8 @@ def ft_vector(ideal: MonomialIdeal) -> list[int]:
     entry 0 is always 1 since ideals here are proper.  Vectors are never
     truncated, so trailing zeros are meaningful.  No monomial is built: a
     strongly stable ideal is counted from its generator shapes, any other
-    from its generators' unions (see the module docstring).  Raises
-    NotTSpreadError unless the ideal is t-spread.
+    by the pivot recursion on the last variable (see the module
+    docstring).  Raises NotTSpreadError unless the ideal is t-spread.
     """
     ctx = ideal.ctx
     if is_t_ss_ideal(ideal):
@@ -103,7 +99,44 @@ def ft_vector(ideal: MonomialIdeal) -> list[int]:
             card_veronese(k, ctx) - _ek_members(shapes, k, ctx)
             for k in range(1, ctx.max_degree() + 1)
         ]
-    return _union_ft(require_t_spread_ideal(ideal).gens, ctx)
+    return _pivot_ft(require_t_spread_ideal(ideal).gens, ctx)
+
+
+def _pivot_ft(gens: Sequence[Monomial], ctx: Context) -> list[int]:
+    # the quotient counts f_0, ..., f_D (D = ctx.max_degree()) of the ideal
+    # the t-spread gens generate, by the pivot recursion of the module
+    # docstring, unfolded level by level from m = n down: level m maps each
+    # node's G, the ascending tuple of its distinct bitmasks (sum of 2^i over
+    # a generator's indices), to its packed weight.  Every g in G is inside
+    # [1, m], so it holds m exactly when g >= 2^m, and max g <= m - t exactly
+    # when g < 2^(m-t+1): both parts of G' are slices of G
+    n, t = ctx.n, ctx.t
+    size = ctx.max_degree() + 1
+    # bytes per coefficient, enough for the number of all t-spread monomials
+    width = sum(card_veronese(k, ctx) for k in range(size)).bit_length() // 8 + 1
+    step = 8 * width
+    levels = {n: {tuple(sorted({sum(1 << i for i in g) for g in gens})): 1}}
+    for m in range(n, 0, -1):
+        bit, fits = 1 << m, 1 << max(m - t + 1, 0)
+        lo, hi = levels.setdefault(m - 1, {}), levels.setdefault(max(m - t, 0), {})
+        for G, w in levels.pop(m).items():
+            i = bisect_left(G, bit)  # G[i:] holds m
+            a = G[:i]
+            if i == len(G):  # no g holds m
+                b = G[:bisect_left(G, fits)]
+            elif G[i] == bit:  # {m} divides every w with m
+                b = None
+            else:
+                b = tuple(sorted({*G[:bisect_left(G, fits, 0, i)], *map(bit.__xor__, G[i:])}))
+            lo[a] = lo[a] + w if a in lo else w
+            if b is not None:
+                w <<= step
+                hi[b] = hi[b] + w if b in hi else w
+    # every node has a child one level down, and level 0 holds only the
+    # empty G, whose Q is 1: its weight is the counts
+    (packed,) = levels[0].values()
+    raw = packed.to_bytes(size * width, "little")
+    return [int.from_bytes(raw[k * width:(k + 1) * width], "little") for k in range(size)]
 
 
 def t_macaulay_expansion(

@@ -19,9 +19,9 @@ from conftest import (
 )
 from tspread import construct
 from tspread.construct import (
-    _union_ft,
     is_t_lex_ideal,
     is_t_ss_ideal,
+    t_shadow_set,
     t_spread_component,
     t_ss_ideal,
 )
@@ -35,6 +35,7 @@ from tspread.core import (
 )
 from tspread.count import binomial, card_veronese
 from tspread.kk import (
+    _pivot_ft,
     ft_vector,
     is_ft_vector,
     solve_binomial_expansion,
@@ -80,7 +81,7 @@ def test_ft_vector_counts_match_slices_and_oracle(n, t, minimal_builds):
 def test_ft_vector_counts_match_slices_hypothesis(ideal):
     closed = t_ss_ideal(ideal)
     assert ft_vector(closed) == component_ft(closed)
-    # an ideal that is not strongly stable is counted by its generators' unions
+    # an ideal that is not strongly stable is counted by the pivot recursion
     assert ft_vector(ideal) == component_ft(ideal)
     lex = t_lex_ideal_of(closed)
     assert lex.gens == tuple(minimalize(lex.gens)) and is_t_ss_ideal(lex)
@@ -89,50 +90,96 @@ def test_ft_vector_counts_match_slices_hypothesis(ideal):
 @pytest.mark.parametrize("n,t", CLOSURE_RINGS)
 def test_union_count_matches_slices_and_oracle(n, t):
     # every ideal of one or two generators, strongly stable or not, through
-    # the union count itself and through ft_vector
+    # the pivot recursion itself and through ft_vector
     for ideal, _ in small_ideals(n, t):
         f = oracle_ft(ideal)
-        assert _union_ft(ideal.gens, ideal.ctx) == f, ideal.gens
+        assert _pivot_ft(ideal.gens, ideal.ctx) == f, ideal.gens
         assert ft_vector(ideal) == component_ft(ideal) == f, ideal.gens
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(ideal=spread_ideals(n_max=12, gens_max=8))
 def test_union_count_matches_slices_hypothesis(ideal):
-    assert _union_ft(ideal.gens, ideal.ctx) == component_ft(ideal)
+    assert _pivot_ft(ideal.gens, ideal.ctx) == component_ft(ideal)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(ideal=spread_ideals(n_max=12, t_max=1, gens_max=8))
 def test_union_count_matches_slices_at_t1_hypothesis(ideal):
-    # at t = 1 every union is 1-spread, so the table holds the most unions
-    assert _union_ft(ideal.gens, ideal.ctx) == component_ft(ideal)
+    # at t = 1 every union of generator parts is 1-spread, so the bound on
+    # the recursion's nodes is widest
+    assert _pivot_ft(ideal.gens, ideal.ctx) == component_ft(ideal)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_union_count_on_dense_ideals_at_t1(seed):
-    # 20 or more degree-3 generators in 10-12 variables: hundreds of unions,
-    # many more than the ideal has generators
+    # 20 or more degree-3 generators in 10-12 variables
     rng = random.Random(seed)
     n = rng.randint(10, 12)
     ctx = Context(n, 1)
     gens = {tuple(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(rng.randint(24, 40))}
     ideal = MonomialIdeal(ctx, gens)
     assert len(ideal.gens) == len(gens) >= 20
-    assert _union_ft(ideal.gens, ctx) == component_ft(ideal) == oracle_ft(ideal)
+    assert _pivot_ft(ideal.gens, ctx) == component_ft(ideal) == oracle_ft(ideal)
+
+
+def dense_t1_ideal(n, count, seed):
+    """The ideal of ``count`` seeded random degree-3 monomials at spread 1."""
+    rng = random.Random(seed)
+    ctx = Context(n, 1)
+    return MonomialIdeal(ctx, {tuple(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(count)})
+
+
+def test_pivot_count_on_dense_ideal_at_n16():
+    # 91 degree-3 generators in 16 variables
+    ideal = dense_t1_ideal(16, 100, 0)
+    assert len(ideal.gens) == 91 and not is_t_ss_ideal(ideal)
+    start = time.perf_counter()
+    f = ft_vector(ideal)
+    assert time.perf_counter() - start < 1.0
+    assert f == component_ft(ideal)
+
+
+def test_pivot_count_on_dense_ideal_at_n40():
+    ideal = dense_t1_ideal(40, 16, 0)
+    assert len(ideal.gens) == 16 and not is_t_ss_ideal(ideal)
+    start = time.perf_counter()
+    f = ft_vector(ideal)
+    assert time.perf_counter() - start < 1.0
+    # degree 3 loses the generators, degree 4 their shadow
+    assert f[:3] == [1, 40, comb(40, 2)]
+    assert f[3] == comb(40, 3) - len(ideal.gens)
+    assert f[4] == comb(40, 4) - len(t_shadow_set(ideal.gens, ideal.ctx))
+
+
+def test_pivot_count_of_closure_less_one_generator(closure_40):
+    # 129 912 generators, one short of the n = 40 closure; the closure's own
+    # counts come from its generator shapes, not from the recursion
+    closed, _ = closure_40
+    gens = tuple(g for g in closed.gens if g != (1, 3, 5, 7))
+    assert len(gens) == len(closed.gens) - 1 == 129912
+    ideal = MonomialIdeal._of_minimal(closed.ctx, gens)
+    start = time.perf_counter()
+    f = ft_vector(ideal)
+    assert time.perf_counter() - start < 10.0
+    assert not is_t_ss_ideal(ideal)
+    extra = [0, 0, 0, 0, 1, 13, 15, 10, 1] + [0] * (len(f) - 9)
+    assert f == [a + b for a, b in zip(ft_vector(closed), extra)]
 
 
 def test_union_table_merges_and_drops_unions():
-    # (1,3) and (2,5) have the unions (), (1,3), (2,5) and (1,2,3,5)
+    # two generators that share no index
     ideal = MonomialIdeal(Context(10, 1), ((1, 3), (2, 5)))
-    assert _union_ft(ideal.gens, ideal.ctx) == oracle_ft(ideal)
-    # (1,2,3,4) is the union of (1,3) and (2,4), weight 1, and of all three,
-    # weight -1: it drops, and six unions are left
+    assert _pivot_ft(ideal.gens, ideal.ctx) == oracle_ft(ideal)
+    # the pivot 4 cuts (2,4) to (2,), which divides (1,2): node sets need not be minimal
     cancel = MonomialIdeal(Context(5, 1), ((1, 2), (1, 3), (2, 4)))
-    assert _union_ft(cancel.gens, cancel.ctx) == oracle_ft(cancel)
-    # at t = 2 the union (1,2,3,5) is not t-spread and takes no entry
+    assert _pivot_ft(cancel.gens, cancel.ctx) == oracle_ft(cancel)
+    # at t = 2 the pivot 4 drops (1,3) from its second term: 3 is within 2 of 4
     spread = MonomialIdeal(Context(10, 2), ((1, 3), (2, 5)))
-    assert _union_ft(spread.gens, spread.ctx) == oracle_ft(spread)
+    assert _pivot_ft(spread.gens, spread.ctx) == oracle_ft(spread)
+    # a one-variable generator: at the pivot 4 its second term is 0
+    unit = MonomialIdeal(Context(10, 2), ((1, 3), (4,), (2, 7)))
+    assert _pivot_ft(unit.gens, unit.ctx) == oracle_ft(unit)
 
 
 def test_union_count_builds_no_slice_at_n40(monkeypatch):
@@ -145,9 +192,13 @@ def test_union_count_builds_no_slice_at_n40(monkeypatch):
     f = ft_vector(ideal)
     assert time.perf_counter() - start < 1.0
     assert f == closed_form(40) and f[:3] == [1, 40, 778]
-    # and at every smaller ring
-    for n in range(5, 40):
-        assert ft_vector(MonomialIdeal(Context(n, 1), ideal.gens)) == closed_form(n), n
+    # and at every smaller ring, and at one with more levels than Python's
+    # default recursion limit
+    for n in [*range(5, 40), 1500]:
+        start = time.perf_counter()
+        f = ft_vector(MonomialIdeal(Context(n, 1), ideal.gens))
+        assert time.perf_counter() - start < 1.0
+        assert f == closed_form(n), n
 
 
 def closed_form(n):
