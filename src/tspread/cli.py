@@ -74,10 +74,15 @@ def _ideal(source: str, ctx: Context, fail: Fail) -> MonomialIdeal:
         text = sys.stdin.read() if source == "-" else Path(source).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         fail(f"cannot read ideal from {source!r}: {exc}")
-    gens = [_monomial(line, ctx, fail) for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.splitlines() if line.strip()]
+    # parsed in one pass and validated once, by the ideal's batch check; the
+    # lines are validated one by one only when that fails, so that the first
+    # bad line ends the run with its own message
     try:
-        return MonomialIdeal(ctx, gens)
-    except TSpreadError as exc:
+        return MonomialIdeal(ctx, map(parse_monomial, lines))
+    except ValueError as exc:  # TSpreadError is one
+        for line in lines:
+            _monomial(line, ctx, fail)
         fail(f"bad ideal input: {exc}")
 
 
@@ -211,6 +216,17 @@ def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:
     return sum(count._ss_size(g, ctx.t) for g in ideal.gens)
 
 
+def _ss_seg_size(v: Monomial, u: Monomial, ctx: Context) -> int:
+    """The monomials of the Borel segment from ``v`` down to ``u``, exactly.
+
+    Endpoints that ``t_ss_seg`` refuses (either not t-spread, unequal
+    degrees, ``v`` not Borel-above ``u``) count 0, so it raises its own error.
+    """
+    t = ctx.t
+    ok = len(v) == len(u) and core._gaps_at_least(v, t) and core._gaps_at_least(u, t)
+    return count._ss_seg_size(v, u, t) if ok and core.borel_geq(v, u) else 0
+
+
 def _lex_ideal_size(f: list[int] | None, ideal: MonomialIdeal | None, ctx: Context) -> int:
     if f is None:
         return _slices_size(ideal, ctx)
@@ -281,7 +297,7 @@ COMMANDS: dict[str, Command] = {
         oracle=lambda r, u, ctx: r == len(oracle.oracle_lex_set(u, ctx))),
     "ss-seg": Command(
         "strongly stable segment between two monomials", (START, END),
-        construct.t_ss_seg, _monomial_list, size=lambda v, u, ctx: count.count_t_ss_mon(u, ctx),
+        construct.t_ss_seg, _monomial_list, size=_ss_seg_size,
         oracle=lambda r, v, u, ctx:
             set(r) == {w for w in oracle.oracle_borel_set(u, ctx) if w >= v}),
     "ss-mon": Command(

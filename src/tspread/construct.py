@@ -31,25 +31,26 @@ once by the batch check, one ``itemgetter`` pass per position
 at once, each tracked by the garbage collector, and on a set of tens of
 thousands the collections it starts cost more than the columns
 themselves.  The segment tests compare the member count with the
-segment's (``_walk_count`` for Borel segments), and the strongly stable
-set test looks up each position's decrements as one column.  A shadow
-set is emitted as ascending runs, one family per insertion position, that
-a single sort merges (``_shadow_runs``); the smallest strongly stable set
-containing given monomials is one greatest-caps walk per degree
-(``_fresh``), not a union of Borel sets.  The stability test of an ideal
-works on columns too: each degree's generators become integer keys, built
-by multiply-add passes over their index columns, and the single
-decrements of each position are counted among the keys in one C-level
-pass per prefix length (``is_t_ss_ideal``).  An ideal remembers its
-verdict and its generator shapes (``core.MonomialIdeal``), so each is
-worked out once per ideal, and the constructions whose output is strongly
-stable by construction hand it over with the verdict already set.
+segment's, a closed form (``count._ss_seg_size`` for Borel segments),
+and the strongly stable set test looks up each position's decrements as
+one column.  A shadow set is emitted as ascending runs, one family per
+insertion position, that a single sort merges (``_shadow_runs``); the
+smallest strongly stable set containing given monomials is one
+greatest-caps walk per degree (``_fresh``), not a union of Borel sets.
+The stability test of an ideal works on columns too: each degree's
+generators become integer keys, built by multiply-add passes over their
+index columns, and the single decrements of each position are counted
+among the keys in one C-level pass per prefix length (``is_t_ss_ideal``).
+An ideal remembers its verdict and its generator shapes
+(``core.MonomialIdeal``), so each is worked out once per ideal, and the
+constructions whose output is strongly stable by construction hand it over
+with the verdict already set.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate, chain, combinations, compress, groupby, islice, repeat
+from itertools import chain, combinations, compress, groupby, islice, repeat
 from math import comb
 from operator import add, countOf, ge, itemgetter, mul, ne, sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -61,7 +62,8 @@ from .core import (
     MonomialIdeal,
     TSpreadError,
     _columns,
-    _columns_spread,
+    _columns_fit,
+    _exact_tuples,
     _gaps_at_least,
     _has_prefix_in,
     borel_geq,
@@ -72,7 +74,7 @@ from .core import (
     require_t_spread_ideal,
     validate_monomial,
 )
-from .count import binomial, count_t_lex_mon
+from .count import _ss_seg_size, binomial, count_t_lex_mon
 
 
 def _shadow(m: Monomial, ctx: Context) -> list[Monomial]:
@@ -204,37 +206,6 @@ def _packed(start: int, k: int, t: int) -> Monomial:
     return tuple(range(start, start + k * t, t))
 
 
-def _walk_count(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> int:
-    # len(_walk(top, bottom, caps, t)), nothing built.  The prefixes of a
-    # level fall into three states: top[:q] (tight to top), bottom[:q]
-    # (tight to bottom), one prefix while the two agree, and the free ones
-    # strictly between, counted by last index in free[y].  A free prefix
-    # ending at y extends by every x from y + t to caps[q], so the new
-    # free[x] is the prefix sum of free up to x - t; the tight prefixes add
-    # their own ranges, held in a difference array.  O(d n) integer steps.
-    size = caps[-1] + 2 if caps else 1
-    free = [0] * size
-    tied = True  # top[:q] == bottom[:q]
-    for q, (lo, hi, cap) in enumerate(zip(top, bottom, caps)):
-        if tied and lo == hi:
-            continue
-        diff = [0] * size
-        if tied:  # top and bottom part here; what lies strictly between is free
-            diff[lo + 1] += 1
-            diff[hi] -= 1
-            tied = False
-        else:
-            diff[lo + 1] += 1  # top[:q] by lo < x <= cap
-            diff[cap + 1] -= 1
-            diff[bottom[q - 1] + t] += 1  # bottom[:q] by last + t <= x < hi
-            diff[hi] -= 1
-        sums = list(accumulate(free))
-        shifted = [0] * t + sums[: max(cap + 1 - t, 0)]
-        shifted += [0] * (size - len(shifted))
-        free = list(map(add, shifted, accumulate(diff)))
-    return sum(free) + (1 if tied else 2)
-
-
 def _lex_list(top: Monomial, bottom: Monomial, ctx: Context) -> list[Monomial]:
     # The slex interval from top down to bottom, ascending as tuples: the
     # lex lists.  At t = 1 the degree-d monomials are the d-subsets of [n]
@@ -353,35 +324,23 @@ def t_lex_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
 
 def _batch_slice(items: list, ctx: Context) -> tuple[set[Monomial], list[list[int]]] | None:
     # The members as a set of index tuples, with its index columns (one
-    # itemgetter pass per position, in the set's iteration order), when a
-    # batch check column by column accepts them: one degree, exact ints,
-    # the first column at least 1, the last at most n, adjacent columns at
-    # least t apart.  Otherwise None; never raises.  Tuples are taken as
-    # they are when their columns hold exact ints; anything else (bool,
-    # float, str, lists, int subclasses) is converted first, as the
-    # member-by-member path converts it.  A member the set drops equals one
-    # it keeps, so it converts to the same monomial.  Not zip(*ms): that
-    # holds one iterator per member at once, each tracked by the garbage
-    # collector, and on large sets the collections they set off (67 young
-    # and 6 middle ones on a 51 561-member set) cost more than the columns.
-    tuples = set(map(type, items)) <= {tuple}
-    for convert in (False, True) if tuples else (True,):
-        try:
-            ms = {tuple(map(int, u)) for u in items} if convert else set(items)
-        except Exception:  # the member-by-member path decides it
-            return None
-        members = list(ms)  # read once per position, and a list reads faster than a set
-        degrees = set(map(len, members))
-        if len(degrees) > 1:
-            return None
-        cols = _columns(members, degrees.pop() if degrees else 0)
-        if convert or all(set(map(type, col)) <= {int} for col in cols):
-            break
-    if not cols or (
-        min(cols[0]) >= 1 and max(cols[-1]) <= ctx.n and _columns_spread(cols, ctx.t)
-    ):
-        return ms, cols
-    return None
+    # itemgetter pass per position, in the set's iteration order), when the
+    # batch checks accept them: tuples of exact ints (``core._exact_tuples``)
+    # of one degree, whose columns lie in [1, n] at least t apart
+    # (``core._columns_fit``).  Otherwise None, and the member-by-member path
+    # decides; never raises.  Not zip(*ms): that holds one iterator per
+    # member at once, each tracked by the garbage collector, and on large
+    # sets the collections they set off (67 young and 6 middle ones on a
+    # 51 561-member set) cost more than the columns.
+    if not _exact_tuples(items):
+        return None
+    ms = set(items)
+    members = list(ms)  # read once per position, and a list reads faster than a set
+    degrees = set(map(len, members))
+    if len(degrees) > 1:
+        return None
+    cols = _columns(members, degrees.pop() if degrees else 0)
+    return (ms, cols) if _columns_fit(cols, ctx.n, ctx.t) else None
 
 
 def _spread_slice(
@@ -473,7 +432,8 @@ def is_t_ss_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
 
     When the column maxima are the slex-least member, every member is
     Borel-above it, so the set lies in the segment and fills it exactly when
-    it has as many members as the segment: a count, not a construction.
+    it has as many members as the segment: a count, not a construction
+    (``count._ss_seg_size``, O(d^3) binomials).
     """
     checked = _spread_slice(monomials, ctx)
     if checked is None:
@@ -486,7 +446,7 @@ def is_t_ss_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     bottom = tuple(map(max, cols))
     if bottom not in ms:
         return False
-    return len(ms) == _walk_count(min(ms), bottom, bottom, ctx.t)
+    return len(ms) == _ss_seg_size(min(ms), bottom, ctx.t)
 
 
 def _fresh(caps: Sequence[Monomial], low: set[Monomial], t: int, out: list[Monomial]) -> None:

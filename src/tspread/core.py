@@ -286,6 +286,18 @@ def _columns_spread(cols: Sequence[Sequence[int]], t: int) -> bool:
     return all(min(map(sub, b, a)) >= t for a, b in zip(cols, cols[1:]))
 
 
+def _exact_tuples(items: list) -> bool:
+    # Whether every item is a tuple of exact ints, the only input a batch
+    # check takes as it is.  Anything else (lists, bools, floats, strings,
+    # int subclasses) is validated member by member, which converts it.
+    return set(map(type, items)) <= {tuple} and set(map(type, chain.from_iterable(items))) <= {int}
+
+
+def _columns_fit(cols: Sequence[Sequence[int]], n: int, t: int) -> bool:
+    # whether the index columns of one degree lie in [1, n], adjacent ones at least t apart
+    return not cols or (min(cols[0]) >= 1 and max(cols[-1]) <= n and _columns_spread(cols, t))
+
+
 def _canonical(gens: Iterable[Sequence[int]], ctx: Context) -> tuple[Monomial, ...]:
     # The validated minimal generators of a proper ideal, (degree, slex)
     # order.  Tuples of exact ints whose columns increase strictly inside
@@ -293,12 +305,9 @@ def _canonical(gens: Iterable[Sequence[int]], ctx: Context) -> tuple[Monomial, .
     # are minimalized as they are; anything else is validated member by
     # member in input order, so the first offender raises.
     items = list(gens)
-    if set(map(type, items)) <= {tuple} and set(map(type, chain.from_iterable(items))) <= {int}:
+    if _exact_tuples(items):
         groups = _groups(items)
-        if all(
-            d and min(cols[0]) >= 1 and max(cols[-1]) <= ctx.n and _columns_spread(cols, 1)
-            for d, _, cols in groups
-        ):
+        if all(d and _columns_fit(cols, ctx.n, 1) for d, _, cols in groups):
             return tuple(_minimal(groups))
     canon = []
     for g in items:

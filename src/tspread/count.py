@@ -16,6 +16,11 @@ arithmetic is exact Python integers, so counts stay correct far beyond
   is a valid chain of length j followed by any k-j values in
   ``(b_{j+1}, b_k]``, and the two parts are chosen independently.  That
   first-violation recurrence costs O(d^2) binomials.
+* ``_ss_seg_size`` counts a Borel segment B_t[v, u] (the t-spread w <= u
+  componentwise with v <= w as tuples, v Borel-above u) by the same chains.
+  A member w != v first leaves v at some position q, upward, so u_q > v_q,
+  and its tail ``w[q:] - v_q`` is any t-spread tail under the caps
+  ``u[q:] - v_q``: |B_t[v, u]| = 1 + sum of those counts, O(d^3) binomials.
 
 The ``iter_*_count_terms`` generators, which yield the paper's binomial
 terms one by one, and ``count_terms_ss``, which predicts how many there
@@ -164,6 +169,12 @@ def count_t_ss_mon(u: Sequence[int], ctx: Context) -> int:
 def _ss_size(m: Sequence[int], t: int) -> int:
     # ``count_t_ss_mon`` of a t-spread index tuple of degree at least 1, unchecked
     return _bounded_chains([i - k * (t - 1) for k, i in enumerate(m)])
+
+
+def _ss_seg_size(v: Sequence[int], u: Sequence[int], t: int) -> int:
+    # |B_t[v, u]| = 1 + sum over q with u_q > v_q of _ss_size(u[q:] - v_q), for
+    # t-spread v Borel-above u of one degree, unchecked (see the module docstring)
+    return 1 + sum(_ss_size([i - a for i in u[q:]], t) for q, a in enumerate(v) if u[q] > a)
 
 
 def cq_operator(args: Sequence[int]) -> int:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import KK_FT, KK_IDEAL_GENS, KK_LEX_GENS, REALIZE_GENERATORS
 import tspread
-from tspread import core, count
+from tspread import construct, core, count
 from tspread.cli import (
     COMMANDS,
     FORCE_LIMIT,
@@ -22,6 +22,7 @@ from tspread.cli import (
     _closure_size,
     _lex_ideal_size,
     _slices_size,
+    format_monomial,
     main,
     parse_monomial,
 )
@@ -294,6 +295,19 @@ class TestErrors:
         code, _, err = run(capsys, "veronese", "--n", "40", "--t", "1", "20")
         assert code == 1 and "--force" in err
 
+    def test_segment_guard_counts_the_segment(self, capsys):
+        # the end's whole Borel set holds 89 465 331 monomials, the segment 2
+        ring = ["ss-seg", "--n", "90", "--t", "2"]
+        end = "9,22,40,55,72,89"
+        start = time.perf_counter()
+        assert run(capsys, *ring, "9,22,40,55,72,88", end) == (
+            0, "9,22,40,55,72,88\n9,22,40,55,72,89\n", "")
+        assert run(capsys, *ring, "1,3,5,7,9,11", end) == (
+            1, "", "error: output would hold 89465331 monomials; pass --force to build it\n")
+        assert run(capsys, *ring, "1,2,5,7,9,11", end) == (
+            1, "", "error: expected a t-spread monomial\n")
+        assert time.perf_counter() - start < 1.0
+
     def test_strongly_stable_guard_is_immediate(self, capsys):
         start = time.perf_counter()
         code, _, err = run(capsys, "ss-mon", "--n", "200", "--t", "2", "20,60,100,140,180,199")
@@ -373,6 +387,17 @@ class TestErrors:
             (["lex-ideal", "--t", "1", "--f", "1,40,781,0,0,0"], "expected a valid ft-vector"),
             (["ft-vector", "--t", "2"], "expected a t-spread ideal"),
             (["ss-ideal", "--t", "2"], "expected a t-spread ideal"),
+            # the end's Borel set holds C(35, 6) = 1 623 160 monomials, or
+            # 5 995 431; the last start, not Borel-above the end, would count
+            # 2 035 800 by the segment formula
+            (["ss-seg", "--t", "2", "1,2,5,7,9,11", "30,32,34,36,38,40"],
+             "expected a t-spread monomial"),
+            (["ss-seg", "--t", "2", "1,3,5", "30,32,34,36,38,40"],
+             "segment endpoints must have equal degrees"),
+            (["ss-seg", "--t", "2", "1,3,5,7,9,11,13", "30,32,34,36,38,40"],
+             "segment endpoints must have equal degrees"),
+            (["ss-seg", "--t", "2", "3,5,7,9,11,13,15,17", "2,28,30,32,34,36,38,40"],
+             "segment start must dominate its end in the Borel order"),
         ],
     )
     def test_invalid_input_is_not_refused_for_size(self, capsys, monkeypatch, argv, message):
@@ -441,6 +466,8 @@ TRANSCRIPTS = [
      '[2, 4, 7]]}\n', ""),
     (["ss-seg", "--n", "11", "--t", "2", "1,5,7", "2,4,8"],
      1, "", "error: segment start must dominate its end in the Borel order\n"),
+    (["ss-seg", "--n", "90", "--t", "2", "9,22,40,55,72,88", "9,22,40,55,72,89"],
+     0, "9,22,40,55,72,88\n9,22,40,55,72,89\n", ""),
 ]
 
 
@@ -451,6 +478,47 @@ def test_transcript(capsys, tmp_path, argv, code, out, err):
         "real": write_ideal(tmp_path / "real.txt", REALIZE_GENERATORS),
     }
     assert run(capsys, *(a.format(**files) for a in argv)) == (code, out, err)
+
+
+# The ideal reader's paths, stdin to exit code, stdout and stderr byte for
+# byte.  A bad line exits 2 with the parser's usage and the message of the
+# first bad line in input order, however many good lines come before it; an
+# ideal whose lines are all monomials but that is no proper ideal, with the
+# message of the ideal.
+SLICE_40 = "".join(f"{format_monomial(m)}\n" for m in construct.t_veronese(3, Context(40, 2)))
+IDEAL_TRANSCRIPTS = [
+    (["betti", "--n", "40", "--t", "2"], SLICE_40 + "5,2\n1,a\n",
+     2, "", "bad monomial '5,2': support must be strictly increasing, got (5, 2)"),
+    (["ft-vector", "--n", "8", "--t", "2"], "1,3\n1,a\n0,3\n",
+     2, "", "bad monomial '1,a': invalid literal for int() with base 10: 'a'"),
+    (["lex-ideal", "--n", "8", "--t", "2"], "1,3\n2,4\n0,3\n",
+     2, "", "bad monomial '0,3': indices of (0, 3) fall outside [1, 8]"),
+    (["ss-ideal", "--n", "8", "--t", "2"], "1,3\n,\n",
+     2, "", "bad ideal input: the unit monomial cannot generate a proper ideal"),
+    (["corners", "--n", "8", "--t", "2"], "x_1*x_3\nx_5*x_2\n",
+     2, "", "bad monomial 'x_5*x_2': support must be strictly increasing, got (5, 2)"),
+    (["is-lex-ideal", "--n", "8", "--t", "2"], "x_1*x_3\nx_2*y\n",
+     2, "", "bad monomial 'x_2*y': invalid literal for int() with base 10: 'y'"),
+    (["ss-ideal", "--n", "8", "--t", "2"], "x_3*x_5\n\n  \nx_1*x_6*x_8\n",
+     0, "1,3\n1,4\n1,5\n2,4\n2,5\n3,5\n1,6,8\n", ""),
+    (["is-lex-ideal", "--n", "40", "--t", "2"], SLICE_40, 0, "true\n", ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, out, message", IDEAL_TRANSCRIPTS,
+    ids=[f"{t[0][0]}-{t[2]}-{k}" for k, t in enumerate(IDEAL_TRANSCRIPTS)],
+)
+def test_ideal_transcript(capsys, monkeypatch, argv, stdin, code, out, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    if code == 2:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        got = (excinfo.value.code, *capsys.readouterr())
+        usage = _build_parser([]).format_usage()
+        assert got == (2, "", f"{usage}tspread: error: {message}\n")
+    else:
+        assert run(capsys, *argv) == (code, out, message)
 
 
 # Fuzzing the exit-code contract: whatever the input, ``main`` returns 0 or 1

@@ -36,7 +36,7 @@ from tspread.core import (
     minimalize,
     validate_monomial,
 )
-from tspread.count import card_veronese, count_t_lex_mon, count_t_ss_mon
+from tspread.count import _ss_seg_size, card_veronese, count_t_lex_mon, count_t_ss_mon
 from tspread.construct import (
     is_t_lex_ideal,
     is_t_lex_seg,
@@ -408,16 +408,49 @@ def test_lex_list_at_degree_n_needs_no_recursion():
 
 @pytest.mark.parametrize("n,t", GRID)
 def test_walk_count_matches_level_builder(n, t):
+    # the closed-form counts of the walks: the lex-rank difference on every
+    # lex pair, the Borel segment count on every Borel-comparable pair
     ctx = Context(n, t)
-    count, walk = construct._walk_count, construct._walk
+    walk = construct._walk
     for d in range(ctx.max_degree() + 1):
         chain = enumerate_veronese(d, ctx)
         low = min_mon(d, ctx)
+        ranks = [count_t_lex_mon(w, ctx) for w in chain] if d else [1]
         for j, u in enumerate(chain):
-            for v in chain[: j + 1]:
-                assert count(v, u, low, t) == len(walk(v, u, low, t)), (v, u)
+            for i, v in enumerate(chain[: j + 1]):
+                assert ranks[j] - ranks[i] + 1 == len(walk(v, u, low, t)), (v, u)
                 if borel_geq(v, u):
-                    assert count(v, u, u, t) == len(walk(v, u, u, t)), (v, u)
+                    assert _ss_seg_size(v, u, t) == len(walk(v, u, u, t)), (v, u)
+
+
+@st.composite
+def borel_pairs(draw, n_max=60, t_max=3, free=3):
+    """(t, v, u): t-spread v Borel-above u that part in at most ``free``
+    trailing positions, so that the segment stays small enough to walk."""
+    n = draw(st.integers(1, n_max))
+    t = draw(st.integers(1, t_max))
+    d = draw(st.integers(0, Context(n, t).max_degree()))
+    u = draw(spread_monomial(n, t, d))
+    v = list(u[: draw(st.integers(max(d - free, 0), d))])
+    for cap in u[len(v):]:
+        v.append(draw(st.integers(v[-1] + t if v else 1, cap)))
+    return t, tuple(v), u
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=borel_pairs())
+def test_segment_count_matches_level_builder_hypothesis(case):
+    t, v, u = case
+    assert _ss_seg_size(v, u, t) == len(construct._walk(v, u, u, t))
+
+
+def test_segment_count_at_a_million_variables():
+    # O(d^3) binomials whatever n; the level DP it replaced took O(d n) steps
+    v, u = (1, 3, 5, 7, 9, 11), (10, 20, 30, 40, 50, 10**6)
+    start = time.perf_counter()
+    assert _ss_seg_size(v, u, 2) == 632475764625
+    assert not is_t_ss_seg([v, u], Context(10**6, 2))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n,t", GRID)
@@ -444,7 +477,7 @@ def test_is_t_ss_seg_builds_no_segment(monkeypatch):
 
     monkeypatch.setattr(construct, "_walk", refuse)
     assert not is_t_ss_seg([(1, 2, 3, 4, 5), (6, 12, 18, 24, 30)], Context(40, 1))
-    assert construct._walk_count((1, 2, 3, 4, 5), (6, 12, 18, 24, 30), (6, 12, 18, 24, 30), 1) == 62832
+    assert _ss_seg_size((1, 2, 3, 4, 5), (6, 12, 18, 24, 30), 1) == 62832
 
 
 def per_member_slice(monomials, ctx):
