@@ -216,17 +216,6 @@ def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:
     return sum(count._ss_size(g, ctx.t) for g in ideal.gens)
 
 
-def _ss_seg_size(v: Monomial, u: Monomial, ctx: Context) -> int:
-    """The monomials of the Borel segment from ``v`` down to ``u``, exactly.
-
-    Endpoints that ``t_ss_seg`` refuses (either not t-spread, unequal
-    degrees, ``v`` not Borel-above ``u``) count 0, so it raises its own error.
-    """
-    t = ctx.t
-    ok = len(v) == len(u) and core._gaps_at_least(v, t) and core._gaps_at_least(u, t)
-    return count._ss_seg_size(v, u, t) if ok and core.borel_geq(v, u) else 0
-
-
 def _lex_ideal_size(f: list[int] | None, ideal: MonomialIdeal | None, ctx: Context) -> int:
     if f is None:
         return _slices_size(ideal, ctx)
@@ -297,7 +286,9 @@ COMMANDS: dict[str, Command] = {
         oracle=lambda r, u, ctx: r == len(oracle.oracle_lex_set(u, ctx))),
     "ss-seg": Command(
         "strongly stable segment between two monomials", (START, END),
-        construct.t_ss_seg, _monomial_list, size=_ss_seg_size,
+        construct.t_ss_seg, _monomial_list,
+        # exact; endpoints the kernel refuses raise its own error here
+        size=lambda v, u, ctx: count._ss_seg_size(*construct._ss_seg_ends(v, u, ctx), ctx.t),
         oracle=lambda r, v, u, ctx:
             set(r) == {w for w in oracle.oracle_borel_set(u, ctx) if w >= v}),
     "ss-mon": Command(

@@ -12,31 +12,28 @@ Lex and Borel sets are the t-spread monomials capped by a monomial ``c``
 (w <= c componentwise) between two slex endpoints.  Capped by ``u`` they
 are the monomials Borel-above ``u``; every monomial of a degree is
 Borel-above its slex-least one, so capped by ``min_mon`` they are a stretch
-of the whole lex order.  Three kernels list them.  The successor ``_step``
+of the whole lex order.  Two kernels list them.  The successor ``_step``
 bumps the last index still below its cap and repacks the tail t apart; it
 serves the lazy and single-step calls (``t_next_lex``, ``iter_veronese``).
-The split walk ``_walk`` serves the Borel lists, and the lex lists at
-t >= 2: it cuts the members halfway along into heads and tails, lists the
-heads and one table of tails, shared by all heads, by the same walk, and
-joins each head to a slice of the table, so the tuples are made by C-level
-concatenation and the Python work is per head, not per monomial.  At
-t = 1 the degree-d monomials are the d-subsets of [n] in
-``itertools.combinations`` order, so ``_lex_list`` lists a lex interval as
-a block of combinations per fixed prefix.  A set may start at any slex
-rank: the unrank step finds the monomial of a given rank in O(d log n)
-binomials.  Public functions validate once; the kernels and shadows never
-again.  The set tests decide by counts and by whole index columns, built
-once by the batch check, one ``itemgetter`` pass per position
-(``core._columns``).  Not ``zip(*ms)``: that holds one iterator per member
-at once, each tracked by the garbage collector, and on a set of tens of
-thousands the collections it starts cost more than the columns
-themselves.  The segment tests compare the member count with the
-segment's, a closed form (``count._ss_seg_size`` for Borel segments),
-and the strongly stable set test looks up each position's decrements as
-one column.  A shadow set is emitted as ascending runs, one family per
-insertion position, that a single sort merges (``_shadow_runs``); the
-smallest strongly stable set containing given monomials is one
-greatest-caps walk per degree (``_fresh``), not a union of Borel sets.
+The split walk ``_walk`` serves every list, lex and Borel, at every t: it
+cuts the members halfway along into heads and tails, lists the heads and
+one table of tails, shared by all heads, by the same walk, and joins each
+head to a slice of the table, so the tuples are made by C-level
+concatenation and the Python work is per head, not per monomial.  It
+recurses to depth O(log d) only, so at t = 1 the degree may reach n.  The
+smallest strongly stable set containing given monomials is built by
+``_fresh``, one greatest-caps walk per degree, not a union of Borel sets.
+A set may start at any slex rank: the unrank step finds the monomial of a
+given rank in O(d log n) binomials.  Public functions validate once; the
+kernels and shadows never again.  The set tests decide by counts and by
+whole index columns, built once by the batch check, one ``itemgetter``
+pass per position (``core._columns`` says why not ``zip(*ms)``).  The
+segment tests compare the member count with the segment's, a closed form
+(``count._ss_seg_size`` for Borel segments), and the strongly stable set
+test looks up each position's decrements as one column.  A shadow set is
+emitted as ascending runs, one family per insertion position, that a
+single sort merges (``_shadow_runs``).
+
 The stability test of an ideal works on columns too: each degree's
 generators become integer keys, built by multiply-add passes over their
 index columns, and the single decrements of each position are counted
@@ -50,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import chain, combinations, compress, groupby, islice, repeat
+from itertools import chain, compress, groupby, islice, repeat
 from math import comb
 from operator import add, countOf, ge, itemgetter, mul, ne, sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -207,46 +204,8 @@ def _packed(start: int, k: int, t: int) -> Monomial:
 
 
 def _lex_list(top: Monomial, bottom: Monomial, ctx: Context) -> list[Monomial]:
-    # The slex interval from top down to bottom, ascending as tuples: the
-    # lex lists.  At t = 1 the degree-d monomials are the d-subsets of [n]
-    # in the order itertools.combinations lists them, so the interval is
-    # top; for q = d-1 down past the first position c where top and bottom
-    # part, top[:q] + (x,) + any tail with x > top[q] (the top chain); at c,
-    # the free middle top[c] < x < bottom[c]; for q = c+1 .. d-1,
-    # bottom[:q] + (x,) + any tail with x < bottom[q] (the bottom chain);
-    # bottom.  A tail is any (d-q-1)-subset past x, one C-level block per
-    # x, x capped so the block is nonempty.  The last position takes all its
-    # x in one block of singletons: combinations copies its whole pool, so
-    # an empty tail per x would cost n - x each.  Loops, not recursion: at
-    # t = 1 the degree can reach n.
-    d, n = len(top), ctx.n
-    if ctx.t > 1 or not d:
-        return _walk(top, bottom, min_mon(d, ctx), ctx.t)
-    c = next((q for q, (a, b) in enumerate(zip(top, bottom)) if a != b), d)
-    if c == d:
-        return [top]
-    spans = chain(
-        ((q, top, top[q] + 1, n) for q in range(d - 1, c, -1)),
-        [(c, top, top[c] + 1, bottom[c] - 1)],
-        ((q, bottom, bottom[q - 1] + 1, bottom[q] - 1) for q in range(c + 1, d)),
-    )
-
-    def blocks() -> Iterator[Iterable[Monomial]]:
-        yield (top,)
-        for q, source, lo, hi in spans:
-            k = d - q - 1
-            hi = min(hi, n - k)
-            if lo > hi:
-                continue
-            prefix = source[:q]
-            if not k:
-                yield map(prefix.__add__, zip(range(lo, hi + 1)))
-                continue
-            for x in range(lo, hi + 1):
-                yield map((prefix + (x,)).__add__, combinations(range(x + 1, n + 1), k))
-        yield (bottom,)
-
-    return list(chain.from_iterable(blocks()))
+    # the slex interval from top down to bottom, ascending as tuples: the lex lists
+    return _walk(top, bottom, min_mon(len(top), ctx), ctx.t)
 
 
 def _unrank(r: int, d: int, ctx: Context) -> Monomial:
@@ -328,10 +287,7 @@ def _batch_slice(items: list, ctx: Context) -> tuple[set[Monomial], list[list[in
     # batch checks accept them: tuples of exact ints (``core._exact_tuples``)
     # of one degree, whose columns lie in [1, n] at least t apart
     # (``core._columns_fit``).  Otherwise None, and the member-by-member path
-    # decides; never raises.  Not zip(*ms): that holds one iterator per
-    # member at once, each tracked by the garbage collector, and on large
-    # sets the collections they set off (67 young and 6 middle ones on a
-    # 51 561-member set) cost more than the columns.
+    # decides; never raises.  Columns by ``core._columns``, not zip(*ms).
     if not _exact_tuples(items):
         return None
     ms = set(items)
@@ -384,6 +340,13 @@ def t_ss_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]
     produced in strictly descending slex order.  ``v`` must itself lie
     Borel-above ``u``.
     """
+    top, bottom = _ss_seg_ends(v, u, ctx)
+    return _walk(top, bottom, bottom, ctx.t)
+
+
+def _ss_seg_ends(v: Sequence[int], u: Sequence[int], ctx: Context) -> tuple[Monomial, Monomial]:
+    # the endpoints of a Borel segment validated, or its first refusal raised:
+    # either not t-spread, unequal degrees, v not Borel-above u
     top = require_t_spread(v, ctx)
     bottom = require_t_spread(u, ctx)
     if len(top) != len(bottom):
@@ -392,7 +355,7 @@ def t_ss_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]
         raise BorelIncomparableError(
             "segment start must dominate its end in the Borel order"
         )
-    return _walk(top, bottom, bottom, ctx.t)
+    return top, bottom
 
 
 def t_ss_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
@@ -489,13 +452,27 @@ def is_t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     by one, staying t-spread) is the same thing, and there are at most d of
     them per member.  They are built a column at a time: position k of every
     member lowered, kept where it stays t apart from position k - 1, and
-    zipped back with the other columns.
+    zipped back with the other columns.  Exchange moves keep the degree, so
+    a set of several degrees is closed exactly when each degree's slice is.
     """
-    checked = _spread_slice(monomials, ctx)
-    if checked is None:
-        return False
-    ms, cols = checked
-    t = ctx.t
+    items = list(monomials)
+    checked = _spread_slice(items, ctx)
+    if checked is not None:
+        return _decrements_inside(*checked, ctx.t)
+    # several degrees, or a member not t-spread: every member is valid, or
+    # _spread_slice would have raised
+    slices: dict[int, set[Monomial]] = {}
+    for m in items:
+        m = validate_monomial(m, ctx)
+        if not _gaps_at_least(m, ctx.t):
+            return False
+        slices.setdefault(len(m), set()).add(m)
+    return all(_decrements_inside(ms, _columns(ms, d), ctx.t) for d, ms in slices.items())
+
+
+def _decrements_inside(ms: set[Monomial], cols: list[list[int]], t: int) -> bool:
+    # whether the set ms of t-spread monomials of one degree, with its index
+    # columns, holds every single decrement of its members that stays t-spread
     decrements = []
     for k, col in enumerate(cols):
         lowered = list(map(add, col, repeat(-1)))

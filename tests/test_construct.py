@@ -378,24 +378,34 @@ def test_level_builder_reaches_large_indices():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_lex_list_matches_level_builder_on_every_interval(n):
-    # at t = 1 the lex lists come from itertools.combinations, not _walk
-    ctx = Context(n, 1)
-    for d in range(n + 1):
-        chain = enumerate_veronese(d, ctx)
-        low = min_mon(d, ctx)
-        for i, v in enumerate(chain):
-            for u in chain[i:]:
-                assert construct._lex_list(v, u, ctx) == construct._walk(v, u, low, 1), (v, u)
+    # every lex segment through the public t_lex_seg, which validates its
+    # endpoints and lists by _lex_list, against the oracle's slice order;
+    # the reversed endpoints are refused
+    for t in range(1, 4):
+        ctx = Context(n, t)
+        for d in range(ctx.max_degree() + 1):
+            chain = enumerate_veronese(d, ctx)
+            for i, v in enumerate(chain):
+                for j, u in enumerate(chain[i:], i):
+                    assert t_lex_seg(v, u, ctx) == chain[i : j + 1], (v, u)
+            if len(chain) > 1:
+                with pytest.raises(TSpreadError, match="lies below its end"):
+                    t_lex_seg(chain[-1], chain[0], ctx)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(case=walk_cases(n_max=40, t_max=1))
 def test_lex_list_matches_level_builder_hypothesis(case):
+    # t = 1 lex lists from the public functions against the successor walk
+    # and the closed-form counts
     ctx, v, u, w = case
     low = min_mon(len(u), ctx)
-    assert construct._lex_list(v, u, ctx) == construct._walk(v, u, low, 1)
-    top = max_mon(len(w), ctx)
-    assert construct._lex_list(top, w, ctx) == construct._walk(top, w, low, 1)
+    seg = t_lex_seg(v, u, ctx)
+    assert seg == stepped(v, u, low, 1)
+    assert len(seg) == count_t_lex_mon(u, ctx) - count_t_lex_mon(v, ctx) + 1
+    lex = t_lex_mon(w, ctx)
+    assert lex == stepped(max_mon(len(w), ctx), w, min_mon(len(w), ctx), 1)
+    assert len(lex) == count_t_lex_mon(w, ctx)
 
 
 def test_lex_list_at_degree_n_needs_no_recursion():
@@ -557,8 +567,11 @@ def member_set_tests(members, ctx):
     the one it must equal, enumerated by the oracle.
     """
     ms = per_member_slice(members, ctx)
-    if ms is None:
-        return False, False, False
+    if ms is None:  # several degrees, or a member not t-spread
+        spread = {validate_monomial(m, ctx) for m in members}
+        if not all(_gaps_at_least(m, ctx.t) for m in spread):
+            return False, False, False
+        return False, False, spread == oracle_ss_closure(spread, ctx)
     top, bottom = min(ms, default=()), max(ms, default=())
     interval = {w for w in enumerate_veronese(len(bottom), ctx) if top <= w <= bottom}
     segment = {w for w in oracle_borel_set(bottom, ctx) if w >= top}
@@ -721,6 +734,25 @@ def test_ss_set_matches_borel_union_hypothesis(case):
     members, ctx = case
     assert outcome(t_ss_set, members, ctx) == outcome(borel_union, members, ctx)
     assert outcome(t_ss_set, iter(members), ctx) == outcome(borel_union, members, ctx)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=mixed_members())
+def test_ss_set_is_strongly_stable_hypothesis(case):
+    # the closure passes the set test whatever its degrees; without its
+    # slex-greatest member of a degree it fails, unless that was the
+    # degree's only member: a chain of single decrements from any other
+    # member ends there
+    members, ctx = case
+    got = outcome(t_ss_set, members, ctx)
+    if got[0] == "raised":
+        return
+    closed = got[1]
+    assert is_t_ss_set(closed, ctx)
+    assert is_t_ss_set(iter(closed), ctx)
+    for d in set(map(len, closed)):
+        only = sum(len(w) == d for w in closed) == 1
+        assert is_t_ss_set([w for w in closed if w != max_mon(d, ctx)], ctx) == only, d
 
 
 def test_ss_set_walks_no_borel_set_per_member(monkeypatch):
