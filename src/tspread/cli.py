@@ -50,8 +50,8 @@ def brace_vector(values: Sequence[int]) -> str:
 
 
 # Boundary converters.  Each turns one parsed argument into the value its
-# kernel takes, or ends the run through ``fail`` (the parser's ``error``,
-# exit status 2).  Kernels never see unconverted input.
+# kernel takes, or ends the run through ``fail`` (the called command's
+# parser's ``error``, exit status 2).  Kernels never see unconverted input.
 Fail = Callable[[str], NoReturn]
 
 
@@ -355,8 +355,9 @@ COMMON = (
 )
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: every command by name, those named in it in full.
+def _build_parser(argv: Sequence[str]) -> tuple[argparse.ArgumentParser, dict]:
+    """The parser for ``argv``, every command by name, those named in it in
+    full, and the command parsers by name.
 
     Top-level usage, help and the unknown-command error need only each
     command's name and help line, and the top level takes no option but
@@ -374,27 +375,29 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=row.help, add_help=full)
         for arg in (COMMON + row.args) if full else ():
             command.add_argument(arg.name, **arg.options)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
+    parser, commands = _build_parser(argv)
     args = parser.parse_args(argv)
     row = COMMANDS[args.command]
+    # input errors past parsing show the usage of the command called
+    fail = commands[args.command].error
     if row.ring and (args.n is None or args.t is None):
-        parser.error(f"{args.command} requires --n and --t")
+        fail(f"{args.command} requires --n and --t")
     try:
         ctx = Context(args.n, args.t) if row.ring else None
     except TSpreadError as exc:
-        parser.error(str(exc))
+        fail(str(exc))
     values = []
     for arg in row.args:
         raw = getattr(args, arg.name.lstrip("-"))
         if arg.unless is not None and getattr(args, arg.unless) is not None:
             raw = None
         elif arg.convert is not None and raw is not None:
-            raw = arg.convert(raw, ctx, parser.error)
+            raw = arg.convert(raw, ctx, fail)
         values.append(raw)
     # results are exact integers of any size, but CPython (3.11 on) turns at
     # most 4300 digits into text unless told otherwise; inputs are parsed by then

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations, compress, groupby
 from math import comb
-from operator import itemgetter, not_, or_, sub
+from operator import itemgetter, lt, not_, or_, sub
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
@@ -133,16 +133,15 @@ class Context(Frozen):
 def validate_monomial(u: Sequence[int], ctx: Context) -> Monomial:
     """Canonicalize ``u`` to an index tuple, strictly increasing inside [1, n]."""
     m = tuple(map(int, u))
-    for a, b in zip(m, m[1:]):
-        if b <= a:
-            raise TSpreadError(f"support must be strictly increasing, got {m}")
+    if not all(map(lt, m, m[1:])):
+        raise TSpreadError(f"support must be strictly increasing, got {m}")
     if m and (m[0] < 1 or m[-1] > ctx.n):
         raise TSpreadError(f"indices of {m} fall outside [1, {ctx.n}]")
     return m
 
 
 def _gaps_at_least(m: Monomial, t: int) -> bool:
-    return all(b - a >= t for a, b in zip(m, m[1:]))
+    return len(m) < 2 or min(map(sub, m[1:], m)) >= t
 
 
 def is_t_spread(u: Sequence[int], ctx: Context) -> bool:

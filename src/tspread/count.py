@@ -25,11 +25,15 @@ arithmetic is exact Python integers, so counts stay correct far beyond
 The ``iter_*_count_terms`` generators, which yield the paper's binomial
 terms one by one, and ``count_terms_ss``, which predicts how many there
 are, are instrumentation only: the tests and the benchmark read the term
-counts, but no count is computed through them.
+counts, but no count is computed through them.  The strongly stable count
+adds one innermost term per admissible prefix of u's first d - 1 indices,
+so ``count_terms_ss(u)`` is the strongly stable set size of u without its
+last index, the paper's C_q operator on (i_{d-1} - (d-2)t, ..., i_1).
 """
 from __future__ import annotations
 
 from math import comb
+from operator import lt
 from typing import Iterator, Sequence
 
 from .core import Context, TSpreadError, require_t_spread
@@ -74,7 +78,10 @@ def _bounded_chains(bounds: Sequence[int]) -> int:
     """
     f = [1]
     for k, top in enumerate(bounds, 1):
-        f.append(comb(top, k) - sum(f[j] * comb(top - bounds[j], k - j) for j in range(k - 1)))
+        s = comb(top, k)
+        for j in range(k - 1):
+            s -= f[j] * comb(top - bounds[j], k - j)
+        f.append(s)
     return f[-1]
 
 
@@ -189,12 +196,12 @@ def cq_operator(args: Sequence[int]) -> int:
     strict chains v_k = P_k + k gives the bounds
     (a_q, a_{q-1} + 1, ..., a_1 + q - 1).
     """
-    a = tuple(int(x) for x in args)
+    a = tuple(map(int, args))
     if not a:
         raise TSpreadError("expected at least one argument")
-    if any(x < 1 for x in a):
+    if min(a) < 1:
         raise TSpreadError(f"arguments must be positive, got {a}")
-    if any(x < y for x, y in zip(a, a[1:])):
+    if any(map(lt, a, a[1:])):
         raise TSpreadError(f"arguments must be nonincreasing, got {a}")
     return _bounded_chains([x + k for k, x in enumerate(reversed(a))])
 
@@ -202,13 +209,14 @@ def cq_operator(args: Sequence[int]) -> int:
 def count_terms_ss(u: Sequence[int], ctx: Context) -> int:
     """Predicted number of innermost additions in the strongly stable count.
 
-    Evaluates the nested sum operator on (i_{d-1} - (d-2)t, ..., i_2 - t, i_1);
-    only the support of ``u`` is consulted.  Instrumentation only: it
+    The nested sum operator on (i_{d-1} - (d-2)t, ..., i_2 - t, i_1) reverses
+    them and adds k - 1 to the k-th, giving the compressed bounds
+    i_k - (k-1)(t-1) of u's first d - 1 indices.  So this is the strongly
+    stable set size of ``u`` without its last index: the prefixes the
+    odometer of ``iter_ss_count_terms`` sweeps.  Instrumentation only: it
     sizes ``iter_ss_count_terms``, which no count walks.
     """
     m = require_t_spread(u, ctx)
-    d = len(m)
-    if d < 2:
+    if len(m) < 2:
         raise TSpreadError("term counting requires degree at least 2")
-    args = tuple(m[k] - k * ctx.t for k in range(d - 2, -1, -1))
-    return cq_operator(args)
+    return _ss_size(m[:-1], ctx.t)

@@ -139,6 +139,24 @@ def _pivot_ft(gens: Sequence[Monomial], ctx: Context) -> list[int]:
     return [int.from_bytes(raw[k * width:(k + 1) * width], "little") for k in range(size)]
 
 
+def _greedy(a: int, d: int, hi: int) -> Iterator[BinomialTerm]:
+    # the terms (top, i) of the greedy expansion of a > 0 at degree d, every
+    # top at most hi: each top is the largest with C(top, i) <= the rest,
+    # bisected in [i, previous top - 1], as the tops strictly decrease
+    rem, i = a, d
+    while rem > 0:
+        lo = i  # C(i, i) = 1 <= rem
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if comb(mid, i) <= rem:
+                lo = mid
+            else:
+                hi = mid - 1
+        yield lo, i
+        rem -= comb(lo, i)
+        hi, i = lo - 1, i - 1
+
+
 def t_macaulay_expansion(
     a: int, d: int, ctx: Context, shift: bool = False
 ) -> list[BinomialTerm]:
@@ -146,8 +164,10 @@ def t_macaulay_expansion(
 
     Unshifted, the terms are C(a_d, d), C(a_{d-1}, d-1), ... with
     a_d > a_{d-1} > ... and each top at least its bottom; their sum is ``a``.
-    With ``shift`` each term C(x, i) becomes C(x - (t-1), i + 1), the bound
-    on the next degree's quotient count.
+    Each top is the largest with C(top, i) at most what is left, bisected
+    below the previous top (the first in [d, n]).  With ``shift`` each
+    term C(x, i) becomes C(x - (t-1), i + 1), the bound on the next degree's
+    quotient count.
     """
     if d < 1:
         raise TSpreadError("expansion degree must be at least 1")
@@ -155,27 +175,9 @@ def t_macaulay_expansion(
         raise TSpreadError(
             f"value {a} out of range for degree {d} with n={ctx.n}, t={ctx.t}"
         )
-    terms: list[BinomialTerm] = []
-    rem = a
-    i = d
-    while rem > 0:
-        # the greedy top is the largest with C(top, i) <= rem, i.e. the
-        # first with C(top + 1, i) > rem; C(., i) increases from C(i, i) = 1,
-        # so gallop up in doubling steps, then bisect the last step
-        top, step = i, 1
-        while comb(top + step, i) <= rem:
-            top += step
-            step *= 2
-        while step > 1:
-            step //= 2
-            if comb(top + step, i) <= rem:
-                top += step
-        terms.append((top, i))
-        rem -= comb(top, i)
-        i -= 1
     if shift:
-        terms = [(top - (ctx.t - 1), bottom + 1) for top, bottom in terms]
-    return terms
+        return [(top - (ctx.t - 1), i + 1) for top, i in _greedy(a, d, ctx.n)]
+    return list(_greedy(a, d, ctx.n))
 
 
 def solve_binomial_expansion(terms: Iterable[BinomialTerm]) -> int:
@@ -194,8 +196,10 @@ def is_ft_vector(f: Sequence[int], ctx: Context) -> bool:
 
 
 def _shifted_bound(a: int, d: int, ctx: Context) -> int:
-    # the most degree-(d+1) monomials a quotient with a of degree d can hold
-    return solve_binomial_expansion(t_macaulay_expansion(a, d, ctx, shift=True))
+    # the most degree-(d+1) monomials a quotient with a of degree d can hold:
+    # the shifted expansion summed, for a checked to lie in degree d's slice
+    s = ctx.t - 1
+    return sum(comb(top - s, i + 1) for top, i in _greedy(a, d, ctx.n) if top - s > i)
 
 
 def _shifted_bounds(fv: list[int], ctx: Context) -> list[int] | None:

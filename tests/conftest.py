@@ -1,6 +1,7 @@
 """Shared fixture data: worked examples used across the test modules."""
 
 import time
+from copy import copy
 from functools import lru_cache
 from itertools import chain, combinations
 
@@ -84,20 +85,39 @@ def small_ideals(n: int, t: int):
 
     Moves reachable from a union of monomials are those reachable from one
     of them, so the oracle closure of a pair is the union of the closures
-    of its members.
+    of its members.  Each call hands out fresh ideals, so that no test sees
+    what another one's calls remembered in an ideal's memo.
     """
+    for ideal, closure in _small_ideals(n, t):
+        yield copy(ideal), closure
+
+
+@lru_cache(maxsize=None)
+def _small_ideals(n: int, t: int) -> tuple:
+    # the pairs of ``small_ideals``, built once per run and never handed out
     ctx = Context(n, t)
     ms = spread_monomials(n, t)
     borel = {m: frozenset(oracle_ss_closure([m], ctx)) for m in ms}
-    for gens in chain(((m,) for m in ms), combinations(ms, 2)):
-        yield MonomialIdeal(ctx, gens), frozenset().union(*(borel[g] for g in gens))
+    return tuple(
+        (MonomialIdeal(ctx, gens), frozenset().union(*(borel[g] for g in gens)))
+        for gens in chain(((m,) for m in ms), combinations(ms, 2))
+    )
 
 
 def small_closures(n: int, t: int) -> list:
-    """The distinct strongly stable ideals that close the small ideals, by the oracle."""
+    """The distinct strongly stable ideals that close the small ideals, by the oracle.
+
+    Fresh ideals on each call, as with ``small_ideals``.
+    """
+    return list(map(copy, _small_closures(n, t)))
+
+
+@lru_cache(maxsize=None)
+def _small_closures(n: int, t: int) -> tuple:
+    # the ideals of ``small_closures``, built once per run and never handed out
     ctx = Context(n, t)
-    gens = {tuple(minimalize(closure)) for _, closure in small_ideals(n, t)}
-    return [MonomialIdeal(ctx, g) for g in sorted(gens)]
+    gens = {tuple(minimalize(closure)) for _, closure in _small_ideals(n, t)}
+    return tuple(MonomialIdeal(ctx, g) for g in sorted(gens))
 
 
 def oracle_ft(ideal: MonomialIdeal) -> list:

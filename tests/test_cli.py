@@ -481,7 +481,7 @@ def test_transcript(capsys, tmp_path, argv, code, out, err):
 
 
 # The ideal reader's paths, stdin to exit code, stdout and stderr byte for
-# byte.  A bad line exits 2 with the parser's usage and the message of the
+# byte.  A bad line exits 2 with the command's usage and the message of the
 # first bad line in input order, however many good lines come before it; an
 # ideal whose lines are all monomials but that is no proper ideal, with the
 # message of the ideal.
@@ -515,8 +515,7 @@ def test_ideal_transcript(capsys, monkeypatch, argv, stdin, code, out, message):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         got = (excinfo.value.code, *capsys.readouterr())
-        usage = _build_parser([]).format_usage()
-        assert got == (2, "", f"{usage}tspread: error: {message}\n")
+        assert got == (2, "", command_error(argv[0], message))
     else:
         assert run(capsys, *argv) == (code, out, message)
 
@@ -606,8 +605,8 @@ def parse_outcome(parse, argv):
 
 def assert_same_parse(argv):
     """Declaring only the arguments of the commands ``argv`` names changes nothing."""
-    full = parse_outcome(_build_parser(list(COMMANDS)).parse_args, argv)
-    assert parse_outcome(_build_parser(argv).parse_args, argv) == full, argv
+    full = parse_outcome(_build_parser(list(COMMANDS))[0].parse_args, argv)
+    assert parse_outcome(_build_parser(argv)[0].parse_args, argv) == full, argv
 
 
 # Arguments no command takes, or a second value where one is taken, and help.
@@ -636,10 +635,16 @@ def test_parse_outside_one_command(argv):
     assert_same_parse(argv)
 
 
+def command_error(name, message):
+    """The stderr of an exit-2 input error of command ``name``: its own usage,
+    every argument declared, and the message under its own prog."""
+    usage = _build_parser([name])[1][name].format_usage()
+    return f"{usage}tspread {name}: error: {message}\n"
+
+
 def test_usage_errors_after_parsing_show_full_usage(capsys):
-    # the ring check and the converters report through the parser's error,
-    # whose usage names no command's arguments
-    usage = _build_parser([]).format_usage()
+    # the ring check and the converters report through the called command's
+    # parser's error, whose usage names that command's arguments alone
     for argv, message in [
         (["count-ss", "2,5,8,11"], "count-ss requires --n and --t"),
         (["count-ss", "--n", "0", "--t", "1", "1"], "need at least one variable, got n=0"),
@@ -649,7 +654,10 @@ def test_usage_errors_after_parsing_show_full_usage(capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert capsys.readouterr() == ("", f"{usage}tspread: error: {message}\n")
+        err = command_error(argv[0], message)
+        assert err.startswith(f"usage: tspread {argv[0]} [-h] [--n N] [--t T]")
+        assert "check,sieve" not in err
+        assert capsys.readouterr() == ("", err)
 
 
 def test_exit_code_contract_past_the_digit_limit():

@@ -22,6 +22,7 @@ from tspread.core import (
     Context,
     EmptyVeroneseError,
     MonomialIdeal,
+    NotTSpreadError,
     TSpreadError,
     _gaps_at_least,
     borel_geq,
@@ -31,11 +32,15 @@ from tspread.core import (
     max_mon,
     min_mon,
     minimalize,
+    require_t_spread,
     sieve_t_spread,
     slex_max,
     slex_min,
     validate_monomial,
 )
+from tspread.count import cq_operator
+
+C5, C5_2 = Context(5, 1), Context(5, 2)
 
 
 class TestContext:
@@ -75,6 +80,50 @@ class TestIsTSpread:
             validate_monomial((0, 2), Context(5, 1))
         with pytest.raises(TSpreadError):
             validate_monomial((2, 6), Context(5, 1))
+
+
+# Every refusal at the boundary, with its exception type and message: the
+# first check that fails names the input after conversion by ``int``, which
+# also turns float and bool members into indices.
+REFUSALS = [
+    (validate_monomial, ((3, 2), C5), TSpreadError, "support must be strictly increasing, got (3, 2)"),
+    (validate_monomial, ((2, 2), C5), TSpreadError, "support must be strictly increasing, got (2, 2)"),
+    (validate_monomial, ((0, 3), C5), TSpreadError, "indices of (0, 3) fall outside [1, 5]"),
+    (validate_monomial, ((2, 6), C5), TSpreadError, "indices of (2, 6) fall outside [1, 5]"),
+    (validate_monomial, ((6, 0), C5), TSpreadError, "support must be strictly increasing, got (6, 0)"),
+    (validate_monomial, ((2.9, 2), C5), TSpreadError,
+     "support must be strictly increasing, got (2, 2)"),
+    (validate_monomial, ((False, 2.5), C5), TSpreadError, "indices of (0, 2) fall outside [1, 5]"),
+    (require_t_spread, ((3, 2), C5_2), TSpreadError, "support must be strictly increasing, got (3, 2)"),
+    (require_t_spread, ((1, 9), C5_2), TSpreadError, "indices of (1, 9) fall outside [1, 5]"),
+    (require_t_spread, ((1, 2), C5_2), NotTSpreadError, "expected a t-spread monomial"),
+    (require_t_spread, ((True, 2.0, 4), C5_2), NotTSpreadError, "expected a t-spread monomial"),
+    (cq_operator, ((),), TSpreadError, "expected at least one argument"),
+    (cq_operator, ((3, 0),), TSpreadError, "arguments must be positive, got (3, 0)"),
+    (cq_operator, ((-1, 4),), TSpreadError, "arguments must be positive, got (-1, 4)"),
+    (cq_operator, ((2, 4),), TSpreadError, "arguments must be nonincreasing, got (2, 4)"),
+    (cq_operator, ((4, 4, 5),), TSpreadError, "arguments must be nonincreasing, got (4, 4, 5)"),
+    (cq_operator, ((2.5, 4.0),), TSpreadError, "arguments must be nonincreasing, got (2, 4)"),
+    (cq_operator, ((3, False),), TSpreadError, "arguments must be positive, got (3, 0)"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, args, error, message", REFUSALS,
+    ids=[f"{r[0].__name__}-{k}" for k, r in enumerate(REFUSALS)],
+)
+def test_boundary_refusals(check, args, error, message):
+    with pytest.raises(TSpreadError) as excinfo:
+        check(*args)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+def test_boundary_converts_float_and_bool_members():
+    assert validate_monomial([True, 2.0, 4.7], C5) == (1, 2, 4)
+    assert type(validate_monomial([True], C5)[0]) is int
+    assert require_t_spread((True, 3.9), C5_2) == (1, 3)
+    assert cq_operator((3.7, True)) == cq_operator((3, 1)) == 3
 
 
 class TestSieve:

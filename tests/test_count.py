@@ -1,6 +1,6 @@
 import time
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tspread.core import Context, NotTSpreadError, TSpreadError, max_mon, min_mon
 from tspread.count import (
+    _bounded_chains,
     binomial,
     binomial_decomposition,
     card_veronese,
@@ -160,6 +161,11 @@ class TestTermPrediction:
         u = (2, 5, 8, 11)
         assert sum(1 for _ in iter_ss_count_terms(u, ctx)) == count_terms_ss(u, ctx)
 
+    def test_equals_the_prefix_count(self):
+        # cq 6 4 2 and cq 4 3 2, the C_q arguments of (2, 5, 8, 11) at t = 1, 2
+        assert count_t_ss_mon((2, 5, 8), Context(13, 1)) == cq_operator((6, 4, 2)) == 30
+        assert count_t_ss_mon((2, 5, 8), Context(13, 2)) == cq_operator((4, 3, 2)) == 14
+
 
 class TestBinomialHelper:
     def test_zero_below_diagonal(self):
@@ -263,3 +269,30 @@ class TestCqMatchesDefinition:
         for q in range(1, 6):
             for a in range(1, 10):
                 assert cq_operator((a,) * q) == comb(a + q - 1, q)
+
+
+@given(spread_monomials(max_n=30))
+@settings(max_examples=300, **HYPOTHESIS)
+def test_term_count_is_the_prefix_count(data):
+    # the innermost terms are one per admissible prefix of the first d - 1
+    # indices: count_terms_ss(u) is the strongly stable count of u[:-1]
+    u, ctx = data
+    if len(u) < 2:
+        return
+    assert (
+        count_terms_ss(u, ctx)
+        == count_t_ss_mon(u[:-1], ctx)
+        == len(list(iter_ss_count_terms(u, ctx)))
+    )
+
+
+def test_bounded_chains_match_brute_force():
+    # every strictly increasing bound tuple with b_d <= 12, d <= 5 (the
+    # empty tuple counts the empty chain)
+    for d in range(6):
+        for bounds in combinations(range(1, 13), d):
+            brute = sum(
+                all(v <= b for v, b in zip(chain, bounds))
+                for chain in combinations(range(1, bounds[-1] + 1 if bounds else 1), d)
+            )
+            assert _bounded_chains(bounds) == brute, bounds

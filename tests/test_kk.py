@@ -36,6 +36,7 @@ from tspread.core import (
 from tspread.count import binomial, card_veronese
 from tspread.kk import (
     _pivot_ft,
+    _shifted_bound,
     ft_vector,
     is_ft_vector,
     solve_binomial_expansion,
@@ -297,6 +298,21 @@ class TestMacaulayExpansion:
                 for top, i in terms:
                     assert top >= i and comb(top, i) <= rem < comb(top + 1, i)
                     rem -= comb(top, i)
+
+    def test_shifted_bound_sums_the_shifted_expansion(self):
+        # the unchecked kernel against the public expansion, on the grid
+        # above, then at C(400, 200) - 1 (200 terms, about 2^396) and at
+        # C(1100, 550) - 1 (550 terms, past float range)
+        ctx = Context(30, 1)
+        cases = [(ctx, d, a)
+                 for d in range(1, 7)
+                 for full in [card_veronese(d, ctx)]
+                 for a in set(range(min(full, 400) + 1)) | set(range(max(full - 50, 0), full + 1))]
+        cases += [(Context(n, 1), n // 2, comb(n, n // 2) - 1) for n in (400, 1100)]
+        assert cases[-1][2] > 2**1024
+        for ctx, d, a in cases:
+            expected = solve_binomial_expansion(t_macaulay_expansion(a, d, ctx, shift=True))
+            assert _shifted_bound(a, d, ctx) == expected, (ctx, d, a)
 
     def test_large_value_is_fast(self):
         start = time.perf_counter()
