@@ -303,13 +303,13 @@ class TestMacaulayExpansion:
         # the unchecked kernel against the public expansion, on the grid
         # above, then at C(400, 200) - 1 (200 terms, about 2^396) and at
         # C(1100, 550) - 1 (550 terms, past float range)
+        cases = [(Context(n, 1), n // 2, comb(n, n // 2) - 1) for n in (400, 1100)]
         ctx = Context(30, 1)
-        cases = [(ctx, d, a)
-                 for d in range(1, 7)
-                 for full in [card_veronese(d, ctx)]
-                 for a in set(range(min(full, 400) + 1)) | set(range(max(full - 50, 0), full + 1))]
-        cases += [(Context(n, 1), n // 2, comb(n, n // 2) - 1) for n in (400, 1100)]
-        assert cases[-1][2] > 2**1024
+        for d in range(1, 7):
+            full = card_veronese(d, ctx)
+            for a in set(range(min(full, 400) + 1)) | set(range(max(full - 50, 0), full + 1)):
+                cases.append((ctx, d, a))
+        assert cases[1][2] > 2**1024
         for ctx, d, a in cases:
             expected = solve_binomial_expansion(t_macaulay_expansion(a, d, ctx, shift=True))
             assert _shifted_bound(a, d, ctx) == expected, (ctx, d, a)
