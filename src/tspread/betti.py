@@ -10,7 +10,8 @@ greedily and verified by a round trip through the detector.
 
 No generator scan is left.  Whether the ideal is strongly stable at all is
 decided by column passes over each degree's generators (single decrements
-and prefix membership on integer keys, see ``construct.is_t_ss_ideal``),
+zipped from the index columns and looked up by prefix, see
+``construct.is_t_ss_ideal``),
 and the table, degree sequence and corners all read one count of the
 generators' (degree, max index) shapes, so every invariant here is linear
 in the number of generators.  The ideal remembers both the verdict and the

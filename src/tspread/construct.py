@@ -25,32 +25,33 @@ smallest strongly stable set containing given monomials is built by
 ``_fresh``, one greatest-caps walk per degree, not a union of Borel sets.
 A set may start at any slex rank: the unrank step finds the monomial of a
 given rank in O(d log n) binomials.  Public functions validate once; the
-kernels and shadows never again.  The set tests decide by counts and by
-whole index columns, built once by the batch check, one ``itemgetter``
-pass per position (``core._columns`` says why not ``zip(*ms)``).  The
-segment tests compare the member count with the segment's, a closed form
-(``count._ss_seg_size`` for Borel segments), and the strongly stable set
-test looks up each position's decrements as one column.  A shadow set is
-emitted as ascending runs, one family per insertion position, that a
-single sort merges (``_shadow_runs``).
+kernels and shadows never again.  The set tests and set constructions
+take their members from one helper, ``_slices``, which validates them
+once and groups them by degree, each degree with its index columns, one
+``itemgetter`` pass per position (``core._columns`` says why not
+``zip(*ms)``).  The segment tests compare the member count with the
+segment's, a closed form (``count._ss_seg_size`` for Borel segments).  A
+shadow set is emitted as ascending runs, one family per insertion
+position, that a single sort merges (``_shadow_runs``), and one more sort
+merges the degrees.
 
-The stability test of an ideal works on columns too: each degree's
-generators become integer keys, built by multiply-add passes over their
-index columns, and the single decrements of each position are counted
-among the keys in one C-level pass per prefix length (``is_t_ss_ideal``).
-An ideal remembers its verdict and its generator shapes
-(``core.MonomialIdeal``), so each is worked out once per ideal, and the
-constructions whose output is strongly stable by construction hand it over
-with the verdict already set.
+The stability tests of sets and ideals share one kernel: the single
+decrements of each position, zipped from a degree's index columns, are
+looked up among the members in one C-level pass per prefix length
+(``is_t_ss_ideal``).  A set is strongly stable exactly when, degree by
+degree, the ideal it generates is (``is_t_ss_set``).  An ideal remembers
+its verdict and its generator shapes (``core.MonomialIdeal``), so each is
+worked out once per ideal, and the constructions whose output is strongly
+stable by construction hand it over with the verdict already set.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import chain, compress, filterfalse, groupby, islice, repeat
 from math import comb
-from operator import add, countOf, ge, itemgetter, mul, ne, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add, ge, itemgetter, lt, ne, sub
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     BorelIncomparableError,
@@ -60,8 +61,8 @@ from .core import (
     TSpreadError,
     _columns,
     _columns_fit,
+    _columns_spread,
     _exact_tuples,
-    _gaps_at_least,
     _has_prefix_in,
     borel_geq,
     cmp_slex,
@@ -99,15 +100,12 @@ def t_shadow(u: Sequence[int], ctx: Context) -> list[Monomial]:
 def t_shadow_set(monomials: Iterable[Sequence[int]], ctx: Context) -> list[Monomial]:
     """Deduplicated union of the shadows of the given monomials, ascending.
 
-    A one-degree batch that passes the column check goes to the run-merge
-    kernel ``_shadow_runs``; anything else goes member by member, so the
-    first offender raises.
+    The members are validated once (``_slices``), so the first offender
+    raises.  Each degree goes to the run-merge kernel ``_shadow_runs``;
+    shadows of different degrees differ, so one sort merges the degrees.
     """
-    items = list(monomials)
-    checked = _batch_slice(items, ctx)
-    if checked is None:
-        return sorted({w for u in items for w in t_shadow(u, ctx)})
-    return _shadow_runs(checked[0], ctx)
+    runs = [_shadow_runs(ms, ctx) for ms, _ in _slices(monomials, ctx, require_t_spread)]
+    return runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
 
 
 def _shadow_runs(ms: set[Monomial], ctx: Context) -> list[Monomial]:
@@ -281,40 +279,41 @@ def t_lex_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
     return _lex_list(max_mon(len(m), ctx), m, ctx)
 
 
-def _batch_slice(items: list, ctx: Context) -> tuple[set[Monomial], list[list[int]]] | None:
-    # The members as a set of index tuples, with its index columns (one
-    # itemgetter pass per position, in the set's iteration order), when the
-    # batch checks accept them: tuples of exact ints (``core._exact_tuples``)
-    # of one degree, whose columns lie in [1, n] at least t apart
-    # (``core._columns_fit``).  Otherwise None, and the member-by-member path
-    # decides; never raises.  Columns by ``core._columns``, not zip(*ms).
-    if not _exact_tuples(items):
-        return None
+def _slices(
+    monomials: Iterable[Sequence[int]],
+    ctx: Context,
+    check: Callable[[Sequence[int], Context], Monomial],
+) -> list[tuple[set[Monomial], list[list[int]]]] | None:
+    # The distinct members by degree, ascending: each degree's set with its
+    # index columns, in the set's iteration order (``core._columns``, not
+    # zip(*ms)).  Validated once.  Tuples of exact ints (``core._exact_tuples``)
+    # are taken as they are, and anything else goes through ``check``
+    # (``validate_monomial`` or ``require_t_spread``), which converts it.
+    # When some degree's columns do not lie in [1, n] at least t apart
+    # (``core._columns_fit``), the exact tuples go through ``check`` too, in
+    # input order, so the first offender raises; None if all pass, as then
+    # a member is not t-spread.
+    items = list(monomials)
+    exact = _exact_tuples(items)
+    if not exact:
+        items = [check(m, ctx) for m in items]
     ms = set(items)
     members = list(ms)  # read once per position, and a list reads faster than a set
     degrees = set(map(len, members))
-    if len(degrees) > 1:
-        return None
-    cols = _columns(members, degrees.pop() if degrees else 0)
-    return (ms, cols) if _columns_fit(cols, ctx.n, ctx.t) else None
-
-
-def _spread_slice(
-    monomials: Iterable[Sequence[int]], ctx: Context
-) -> tuple[set[Monomial], list[list[int]]] | None:
-    # The members validated once, with their index columns, or None unless
-    # all are t-spread of one degree.  The batch check accepts the common
-    # case; anything else takes the member-by-member path, which decides it
-    # and raises as before, for the first offending member in input order.
-    items = list(monomials)
-    checked = _batch_slice(items, ctx)
-    if checked is not None:
-        return checked
-    ms = {validate_monomial(m, ctx) for m in items}
-    degrees = set(map(len, ms))
-    if len(degrees) > 1 or not all(_gaps_at_least(m, ctx.t) for m in ms):
-        return None
-    return ms, _columns(ms, degrees.pop() if degrees else 0)
+    if len(degrees) == 1:
+        groups = [(ms, members)]
+    else:
+        by_degree: dict[int, set[Monomial]] = {}
+        for m in members:
+            by_degree.setdefault(len(m), set()).add(m)
+        groups = [(g, list(g)) for _, g in sorted(by_degree.items())]
+    slices = [(g, _columns(ordered, len(ordered[0]))) for g, ordered in groups]
+    if all(_columns_fit(cols, ctx.n, ctx.t) for _, cols in slices):
+        return slices
+    if exact:
+        for m in items:
+            check(m, ctx)
+    return None
 
 
 def is_t_lex_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
@@ -323,10 +322,10 @@ def is_t_lex_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     The members all lie in that interval, so they fill it exactly when there
     are as many of them as the interval holds: a count, not a construction.
     """
-    checked = _spread_slice(monomials, ctx)
-    if checked is None:
+    slices = _slices(monomials, ctx, validate_monomial)
+    if slices is None or len(slices) > 1:
         return False
-    ms = checked[0]
+    ms = slices[0][0] if slices else set()
     # with two members or more the degree is positive, as counting needs
     return len(ms) < 2 or len(ms) == (
         count_t_lex_mon(max(ms), ctx) - count_t_lex_mon(min(ms), ctx) + 1
@@ -371,19 +370,15 @@ def t_ss_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
 def t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> list[Monomial]:
     """Smallest strongly stable set containing all the given monomials, ascending.
 
-    The members are validated in input order, so the first offender raises.
-    Each degree's members are the caps of one greatest-caps walk
+    The members are validated once (``_slices``), so the first offender
+    raises.  Each degree's members are the caps of one greatest-caps walk
     (``_fresh`` with nothing pruned): the monomials Borel-above some member,
     each built once, however many members it lies above.  One sort merges
     the degrees.
     """
-    by_degree: dict[int, set[Monomial]] = {}
-    for u in monomials:
-        m = require_t_spread(u, ctx)
-        by_degree.setdefault(len(m), set()).add(m)
     out: list[Monomial] = []
-    for d, caps in by_degree.items():
-        if d:
+    for caps, cols in _slices(monomials, ctx, require_t_spread):
+        if cols:
             _fresh(sorted(caps), set(), ctx.t, out)
         else:
             out.append(())
@@ -398,12 +393,12 @@ def is_t_ss_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
     it has as many members as the segment: a count, not a construction
     (``count._ss_seg_size``, O(d^3) binomials).
     """
-    checked = _spread_slice(monomials, ctx)
-    if checked is None:
+    slices = _slices(monomials, ctx, validate_monomial)
+    if slices is None or len(slices) > 1:
         return False
-    ms, cols = checked
-    if not ms:
+    if not slices:
         return True  # the empty set is a segment
+    (ms, cols), = slices
     # every member is Borel-above the slex-least one exactly when the
     # column maxima are a member: then they are that one
     bottom = tuple(map(max, cols))
@@ -450,44 +445,48 @@ def is_t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
 
     Closure under the single decrements of its members (one index lowered
     by one, staying t-spread) is the same thing, and there are at most d of
-    them per member.  They are built a column at a time: position k of every
-    member lowered, kept where it stays t apart from position k - 1, and
-    zipped back with the other columns.  Exchange moves keep the degree, so
-    a set of several degrees is closed exactly when each degree's slice is.
+    them per member.  Exchange moves keep the degree, so a set is closed
+    exactly when each degree's slice is, and a slice of degree d is closed
+    exactly when the ideal it generates is strongly stable: its decrements
+    are of degree d, and in that ideal the degree-d members are the slice.
+    So the decrement kernel of ``is_t_ss_ideal`` decides each degree alone.
     """
-    items = list(monomials)
-    checked = _spread_slice(items, ctx)
-    if checked is not None:
-        return _decrements_inside(*checked, ctx.t)
-    # several degrees, or a member not t-spread: every member is valid, or
-    # _spread_slice would have raised
-    slices: dict[int, set[Monomial]] = {}
-    for m in items:
-        m = validate_monomial(m, ctx)
-        if not _gaps_at_least(m, ctx.t):
-            return False
-        slices.setdefault(len(m), set()).add(m)
-    return all(_decrements_inside(ms, _columns(ms, d), ctx.t) for d, ms in slices.items())
+    slices = _slices(monomials, ctx, validate_monomial)
+    t = ctx.t
+    return slices is not None and all(_decrements_found(ms, cols, [], t) for ms, cols in slices)
 
 
-def _decrements_inside(ms: set[Monomial], cols: list[list[int]], t: int) -> bool:
-    # whether the set ms of t-spread monomials of one degree, with its index
-    # columns, holds every single decrement of its members that stays t-spread
-    decrements = []
+def _decrements_found(
+    ms: set[Monomial], cols: list[list[int]], lower: list[tuple[int, set[Monomial]]], t: int
+) -> bool:
+    # Whether every single decrement of the t-spread members ms, of one
+    # degree with index columns cols, that stays t-spread has a member
+    # prefix of a length j > k, the lowered position: itself in ms, or a
+    # prefix in a set of the lower slices (degree, members), descending in
+    # degree.  A position's decrements are zipped from the columns and looked
+    # up whole; only those missed are cut to each shorter length and looked
+    # up again, longest first, and the first one left over returns False.
+    # The lookups of ``is_t_ss_ideal``.
+    prev: Iterable[int] = repeat(1 - t)
     for k, col in enumerate(cols):
-        lowered = list(map(add, col, repeat(-1)))
-        prev = cols[k - 1] if k else repeat(1 - t)
-        keep = map(t.__le__, map(sub, lowered, prev))
-        decrements.append(compress(zip(*cols[:k], lowered, *cols[k + 1:]), keep))
-    return ms.issuperset(chain.from_iterable(decrements))
+        stays = map(lt, repeat(t), map(sub, col, prev))  # the gap before position k exceeds t
+        decrements = compress(zip(*cols[:k], map(add, col, repeat(-1)), *cols[k + 1:]), stays)
+        missed = filterfalse(ms.__contains__, decrements)
+        for j, members in lower:
+            if j > k:
+                missed = filterfalse(members.__contains__, map(itemgetter(slice(j)), missed))
+        if next(missed, None) is not None:
+            return False
+        prev = col
+    return True
 
 
 def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
     """Whether the ideal is t-strongly stable.
 
     Two lemmas reduce the test to lookups of the generators' single
-    decrements, and an integer encoding makes each lookup one C-level pass
-    over a whole degree's index columns.
+    decrements, and the index columns make each lookup one C-level pass
+    over a whole degree.
 
     *Single decrements suffice.*  Every t-spread monomial Borel-above g is
     reached from g by lowering one index by 1 at a time while staying
@@ -512,64 +511,45 @@ def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
     k < j <= d that are generator degrees are looked up: one lookup per
     decrement when the generators share one degree.
 
-    *Keys.*  With B = n + 1 a degree-d monomial g is the integer
-    ``B^d + sum g_i B^(d-1-i)``: a leading digit 1, then its indices as
-    base-B digits.  One add and d - 1 multiply-add passes over the index
-    columns build it, and the keys of g's prefixes on the way.  Digits lie
-    in [0, n], so degree-d keys lie in [B^d, 2 B^d) and keys of different
-    degrees never collide; the leading 1 keeps an index lowered to 0 from
-    reading as a shorter monomial.  The length-j prefix of g with index k
-    lowered (k < j) is the key of ``g[:j]`` minus B^(j-1-k).
+    *Lookups.*  Only the decrements that stay t-spread are looked up: at
+    position k, those of the generators whose gap there exceeds t, or at
+    k = 0 whose first index exceeds 1.  They are tuples zipped from the
+    degree's index columns, column k lowered by one, and are looked up
+    whole among the generators of their degree.  Only the ones missed are
+    cut to each shorter length j > k that is a generator degree, longest
+    first, and looked up among the degree-j generators.  The ideal is
+    strongly stable exactly when no decrement is left.
 
-    *Counts.*  A decrement has at most one generator prefix (a shorter one
-    would divide the longer), and one that is not t-spread has none: its
-    prefixes past k hold the broken gap, or a digit 0 at k = 0.  So the
-    decrements of position k that stay t-spread (all but those of the
-    generators whose gap there is exactly t, or whose first index is 1) all
-    have a generator prefix exactly when the lookups of all the lengths j
-    find as many keys.
-
-    The degrees go up one at a time, and each degree's keys join the set
-    before its decrements are looked up: every prefix looked up has degree
-    at most d, so a degree that fails returns before any higher degree is
-    encoded.
+    The degrees go up one at a time, and each degree's columns are gap
+    tested and its generators hashed only once the lower degrees have
+    passed: every prefix looked up has degree at most d, so a degree that
+    fails returns before any higher degree is hashed.  The same kernel
+    (``_decrements_found``) decides strongly stable sets, a degree at a
+    time (``is_t_ss_set``).
 
     The ideal remembers the verdict, so each ideal is tested once however
     many calls ask; the closures, lex ideals and Veronese ideals built here
     come with it already set.
     """
-    return ideal._fact("ss", _ss_by_columns)
+    return ideal._fact("ss", _ss_by_decrements)
 
 
-def _ss_by_columns(ideal: MonomialIdeal) -> bool:
-    # is_t_ss_ideal by the keys and counts of its docstring, a degree at a time
-    t, base = ideal.ctx.t, ideal.ctx.n + 1
-    keys: set[int] = set()
-    degrees: list[int] = []
+def _ss_by_decrements(ideal: MonomialIdeal) -> bool:
+    # is_t_ss_ideal by the decrement kernel, a degree at a time: a degree's
+    # generators are hashed only once the lower degrees have passed
+    t = ideal.ctx.t
     runs: dict[int, list[Monomial]] = {}
     for d, run in groupby(ideal.gens, len):  # runs of one degree, merged in case
         runs.setdefault(d, []).extend(run)  # the generators come out of order
+    lower: list[tuple[int, set[Monomial]]] = []
     for d, gens in sorted(runs.items()):
         cols = _columns(gens, d)
-        gaps = [list(map(sub, b, a)) for a, b in zip(cols, cols[1:])]
-        if gaps and min(map(min, gaps)) < t:
+        if not _columns_spread(cols, t):
             return False
-        degrees.append(d)
-        part = list(map(add, cols[0], repeat(base)))
-        prefix = {1: part}  # the keys of the generators' length-j prefixes
-        for j, col in enumerate(cols[1:], 2):
-            part = list(map(add, map(mul, part, repeat(base)), col))
-            prefix[j] = part
-        keys.update(part)
-        for k in range(d):
-            stays = len(gens) - (countOf(gaps[k - 1], t) if k else countOf(cols[0], 1))
-            found = 0
-            for j in degrees:
-                if j > k:
-                    lowered = map(sub, prefix[j], repeat(base ** (j - 1 - k)))
-                    found += sum(map(keys.__contains__, lowered))
-            if found < stays:
-                return False
+        ms = set(gens)
+        if not _decrements_found(ms, cols, lower, t):
+            return False
+        lower.insert(0, (d, ms))
     return True
 
 

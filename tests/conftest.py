@@ -160,7 +160,7 @@ def minimal_builds(monkeypatch):
     def checked(cls, ctx, gens, stable=False):
         assert gens == tuple(minimalize(gens))
         if stable:
-            assert construct._ss_by_columns(unchecked(cls, ctx, gens)), gens
+            assert construct._ss_by_decrements(unchecked(cls, ctx, gens)), gens
         built.append(gens)
         return unchecked(cls, ctx, gens, stable)
 

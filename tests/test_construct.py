@@ -6,7 +6,7 @@ from itertools import combinations
 from operator import or_
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -34,6 +34,7 @@ from tspread.core import (
     max_mon,
     min_mon,
     minimalize,
+    require_t_spread,
     validate_monomial,
 )
 from tspread.count import _ss_seg_size, card_veronese, count_t_lex_mon, count_t_ss_mon
@@ -491,7 +492,8 @@ def test_is_t_ss_seg_builds_no_segment(monkeypatch):
 
 
 def per_member_slice(monomials, ctx):
-    """``_spread_slice`` member by member, as it was before the batch check."""
+    """One slice member by member: the members validated one at a time, and
+    None unless all are t-spread of one degree."""
     ms = {validate_monomial(m, ctx) for m in monomials}
     if len({len(m) for m in ms}) > 1 or not all(_gaps_at_least(m, ctx.t) for m in ms):
         return None
@@ -541,23 +543,35 @@ def slice_inputs(draw, n_max=12, t_max=4):
     return members, ctx
 
 
+def per_member_slices(monomials, ctx, check):
+    """``_slices`` member by member: each member checked in input order, None
+    unless all are t-spread, else the distinct members by degree, ascending."""
+    ms = [check(m, ctx) for m in monomials]
+    if not all(_gaps_at_least(m, ctx.t) for m in ms):
+        return None
+    by_degree = {}
+    for m in ms:
+        by_degree.setdefault(len(m), set()).add(m)
+    return [by_degree[d] for d in sorted(by_degree)]
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(case=slice_inputs())
 def test_batch_slice_check_matches_member_by_member(case):
     members, ctx = case
     # (1.0, 2.0) and (True,) equal their int tuples, so the types are compared too
     exact = [m for m in members if type(m) is tuple and all(type(i) is int for i in m)]
-    for given_members, want in [(members, members), (iter(members), members), (exact, exact)]:
-        got = outcome(construct._spread_slice, given_members, ctx)
-        if got[0] == "value" and got[1] is not None:
-            ms, cols = got[1]
-            # the columns are the set's, position by position, in its iteration order
-            assert list(map(tuple, cols)) == list(zip(*ms))
-            got = ("value", ms)
-        assert got == outcome(per_member_slice, want, ctx)
-        if got[0] == "value" and got[1] is not None:
-            assert {type(m) for m in got[1]} <= {tuple}
-            assert {type(i) for m in got[1] for i in m} <= {int}
+    for check in (validate_monomial, require_t_spread):
+        for given_members, want in [(members, members), (iter(members), members), (exact, exact)]:
+            got = outcome(construct._slices, given_members, ctx, check)
+            if got[0] == "value" and got[1] is not None:
+                for ms, cols in got[1]:
+                    # the columns are the set's, position by position, in its iteration order
+                    assert list(map(tuple, cols)) == list(zip(*ms))
+                    assert {type(m) for m in ms} <= {tuple}
+                    assert {type(i) for m in ms for i in m} <= {int}
+                got = ("value", [ms for ms, _ in got[1]])
+            assert got == outcome(per_member_slices, want, ctx, check)
 
 
 def member_set_tests(members, ctx):
@@ -595,7 +609,10 @@ def test_set_tests_match_member_by_member(case):
 def test_batch_check_starts_no_collection():
     # Columns by itemgetter make no object per member; zip(*ms) held one
     # iterator per member at once, and on this set it started 67 young and 6
-    # middle collections in each of the three calls.  Zero collections holds
+    # middle collections in each of the three calls.  The set test hands
+    # each zipped decrement to a set lookup and drops it, so zip reuses one
+    # tuple; set.issuperset of an iterator, which it replaced, first copies
+    # the iterator into a temporary set on CPython 3.10.  Zero collections holds
     # under CPython's generational thresholds (3.10-3.13), where a collection
     # starts only once tracked objects allocated outnumber those freed by
     # the threshold; an interpreter that collects incrementally
@@ -611,12 +628,17 @@ def test_batch_check_starts_no_collection():
 
     gc.callbacks.append(count)
     try:
-        checks = [(construct._batch_slice, True), (is_t_lex_seg, False), (is_t_ss_seg, True)]
-        for check, want in checks:
+        checks = [
+            ("_slices", lambda ms, ctx: construct._slices(ms, ctx, validate_monomial), True),
+            ("is_t_lex_seg", is_t_lex_seg, False),
+            ("is_t_ss_seg", is_t_ss_seg, True),
+            ("is_t_ss_set", is_t_ss_set, True),
+        ]
+        for name, check, want in checks:
             gc.collect()
             starts.clear()
             assert bool(check(ms, ctx)) is want
-            assert starts == [], check.__name__
+            assert starts == [], name
     finally:
         gc.callbacks.remove(count)
 
@@ -692,11 +714,12 @@ def test_shadow_set_serves_a_valid_batch_by_the_kernel(monkeypatch):
 
     ctx = Context(30, 2)
     members = t_veronese(4, ctx)[::37]
+    mixed = members + [(1, 3, 5), (2, 30)]
     want = member_shadows(members, ctx)
+    want_mixed = member_shadows(mixed, ctx)
     monkeypatch.setattr(construct, "_shadow", refuse)
     assert t_shadow_set(members, ctx) == want
-    with pytest.raises(AssertionError, match="member by member"):
-        t_shadow_set(members + [(1, 3, 5)], ctx)  # mixed degrees take the per-member path
+    assert t_shadow_set(mixed, ctx) == want_mixed  # mixed degrees take the kernel too
 
 
 def borel_union(monomials, ctx):
@@ -753,6 +776,18 @@ def test_ss_set_is_strongly_stable_hypothesis(case):
     for d in set(map(len, closed)):
         only = sum(len(w) == d for w in closed) == 1
         assert is_t_ss_set([w for w in closed if w != max_mon(d, ctx)], ctx) == only, d
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=spread_slices())
+def test_ss_set_test_is_the_ideal_test_of_its_slice(case):
+    # a one-degree set is strongly stable exactly when the ideal it generates
+    # is: what lets one decrement kernel serve both tests.  The set's
+    # closure is checked too, so that both answers are seen often.
+    members, ctx = case
+    assume(members and members[0])
+    for ms in (members, t_ss_set(members, ctx)):
+        assert is_t_ss_set(ms, ctx) == is_t_ss_ideal(MonomialIdeal(ctx, ms)), ms
 
 
 def test_ss_set_walks_no_borel_set_per_member(monkeypatch):
@@ -851,7 +886,7 @@ def stability_answers(ideal):
     empty, so it reaches the kernel whatever the memo of ``ideal`` holds."""
     return {
         scalar_is_t_ss_ideal(ideal),
-        construct._ss_by_columns(ideal),
+        construct._ss_by_decrements(ideal),
         is_t_ss_ideal(MonomialIdeal._of_minimal(ideal.ctx, ideal.gens)),
     }
 
@@ -999,8 +1034,9 @@ def test_each_ideal_runs_the_stability_kernel_once(monkeypatch):
     from tspread import betti, kk
 
     runs = []
-    kernel = construct._ss_by_columns
-    monkeypatch.setattr(construct, "_ss_by_columns", lambda ideal: runs.append(ideal) or kernel(ideal))
+    kernel = construct._ss_by_decrements
+    monkeypatch.setattr(construct, "_ss_by_decrements",
+                        lambda ideal: runs.append(ideal) or kernel(ideal))
 
     def invariants(ideal):
         assert is_t_ss_ideal(ideal)
