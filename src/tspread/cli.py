@@ -20,6 +20,7 @@ import os
 import sys
 from itertools import chain
 from math import prod
+from operator import mod
 from pathlib import Path
 from typing import Callable, Iterable, NoReturn, Sequence
 
@@ -147,9 +148,20 @@ def _flag(name: str, help_: str) -> Arg:
 Rendered = tuple[object, Iterable[str]]
 
 
+class _Templates(dict):
+    # the line template of each degree, made on first use: "%d,%d,%d" for
+    # degree 3 and "1" for degree 0, so that ``template % m`` is
+    # ``format_monomial(m)`` for a tuple of exact ints
+    def __missing__(self, d: int) -> str:
+        fmt = self[d] = ",".join(["%d"] * d) or "1"
+        return fmt
+
+
 def _monomial_list(monomials: Sequence[Monomial]) -> Rendered:
-    # json writes tuples as lists, and the lines are formatted when written
-    return monomials, map(format_monomial, monomials)
+    # json writes tuples as lists, and the lines are formatted when written,
+    # each by its degree's template in one C-level pass
+    templates = _Templates().__getitem__
+    return monomials, map(mod, map(templates, map(len, monomials)), monomials)
 
 
 def _scalar(value: int) -> Rendered:

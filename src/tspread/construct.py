@@ -14,7 +14,8 @@ are the monomials Borel-above ``u``; every monomial of a degree is
 Borel-above its slex-least one, so capped by ``min_mon`` they are a stretch
 of the whole lex order.  Two kernels list them.  The successor ``_step``
 bumps the last index still below its cap and repacks the tail t apart; it
-serves the lazy and single-step calls (``t_next_lex``, ``iter_veronese``).
+serves the lazy calls (``iter_veronese``), and ``t_next_lex`` takes the same
+step with the slex-least caps counted down, not built per call.
 The split walk ``_walk`` serves every list, lex and Borel, at every t: it
 cuts the members halfway along into heads and tails, lists the heads and
 one table of tails, shared by all heads, by the same walk, and joins each
@@ -233,8 +234,15 @@ def t_next_lex(u: Sequence[int], ctx: Context) -> Monomial | None:
     a t-spread tail, bumps it, and packs the tail as tightly as possible.
     """
     m = require_t_spread(u, ctx)
-    n, t = ctx.n, ctx.t
-    return _step(m, tuple(range(n - (len(m) - 1) * t, n + 1, t)), t)
+    t = ctx.t
+    # ``_step`` under the caps of the slex-least monomial, n - (d-1-q)t at
+    # position q, counted down in place of a caps tuple built per call
+    q, cap = len(m) - 1, ctx.n
+    while q >= 0 and m[q] >= cap:
+        q, cap = q - 1, cap - t
+    if q < 0:
+        return None
+    return m[:q] + tuple(range(m[q] + 1, m[q] + 1 + (len(m) - q) * t, t))
 
 
 def iter_veronese(d: int, ctx: Context) -> Iterator[Monomial]:

@@ -6,6 +6,14 @@ monomial 1.  Exponent vectors do not exist anywhere in this package: with a
 positive spread every monomial of interest is squarefree, and working on the
 index sequences directly is what keeps every algorithm here fast.
 
+A public call that takes one monomial checks it in one pass at the
+boundary (``_least_gap``): the indices are converted by ``int`` once, and
+the least gap between neighbours decides both checks, strict increase
+(least gap at least 1) and spread (least gap at least t).  Below degree 2
+the least gap counts as t, so such monomials are t-spread for every t,
+also t > n.  Batches of monomials are checked on their index columns
+instead (``_canonical`` here, ``construct._slices`` for sets).
+
 All values are immutable and all functions are pure, so everything can be
 shared freely across threads.  An ideal remembers facts derived from its
 generators (whether it is t-spread or strongly stable, its generator shapes,
@@ -15,9 +23,9 @@ and two threads racing on it only derive the same fact twice.
 """
 from __future__ import annotations
 
-from itertools import chain, combinations, compress, groupby
+from itertools import accumulate, chain, combinations, compress, groupby
 from math import comb
-from operator import itemgetter, lt, not_, or_, sub
+from operator import itemgetter, le, not_, or_, sub
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
@@ -130,14 +138,21 @@ class Context(Frozen):
         return (self.n - 1) // self.t + 1
 
 
-def validate_monomial(u: Sequence[int], ctx: Context) -> Monomial:
-    """Canonicalize ``u`` to an index tuple, strictly increasing inside [1, n]."""
+def _least_gap(u: Sequence[int], ctx: Context) -> tuple[Monomial, int]:
+    # ``u`` as an index tuple in [1, n] and its least gap, ctx.t below
+    # degree 2: the one-pass boundary check of the module docstring
     m = tuple(map(int, u))
-    if not all(map(lt, m, m[1:])):
+    gap = min(map(sub, m[1:], m)) if len(m) > 1 else ctx.t
+    if gap < 1:
         raise TSpreadError(f"support must be strictly increasing, got {m}")
     if m and (m[0] < 1 or m[-1] > ctx.n):
         raise TSpreadError(f"indices of {m} fall outside [1, {ctx.n}]")
-    return m
+    return m, gap
+
+
+def validate_monomial(u: Sequence[int], ctx: Context) -> Monomial:
+    """Canonicalize ``u`` to an index tuple, strictly increasing inside [1, n]."""
+    return _least_gap(u, ctx)[0]
 
 
 def _gaps_at_least(m: Monomial, t: int) -> bool:
@@ -149,13 +164,13 @@ def is_t_spread(u: Sequence[int], ctx: Context) -> bool:
 
     Monomials of degree 0 and 1 are t-spread for every t.
     """
-    return _gaps_at_least(validate_monomial(u, ctx), ctx.t)
+    return _least_gap(u, ctx)[1] >= ctx.t
 
 
 def require_t_spread(u: Sequence[int], ctx: Context) -> Monomial:
     """``u`` validated and canonicalized, or NotTSpreadError if not t-spread."""
-    m = validate_monomial(u, ctx)
-    if not _gaps_at_least(m, ctx.t):
+    m, gap = _least_gap(u, ctx)
+    if gap < ctx.t:
         raise NotTSpreadError("expected a t-spread monomial")
     return m
 
@@ -199,7 +214,7 @@ def borel_geq(v: Monomial, u: Monomial) -> bool:
     """
     if len(u) != len(v):
         raise TSpreadError("Borel comparison requires equal degrees")
-    return all(j <= i for j, i in zip(v, u))
+    return all(map(le, v, u))
 
 
 def max_mon(d: int, ctx: Context) -> Monomial:
@@ -432,8 +447,10 @@ def _gen_set(ideal: MonomialIdeal) -> frozenset[Monomial]:
 
 def _has_prefix_in(w: Monomial, gens: Container[Monomial]) -> bool:
     # membership of a t-spread w in the strongly stable ideal minimally
-    # generated by gens (the prefix lemma of construct.is_t_ss_ideal)
-    return any(w[:j] in gens for j in range(1, len(w) + 1))
+    # generated by gens (the prefix lemma of construct.is_t_ss_ideal): the
+    # prefixes w[:1], w[:2], ... are grown by concatenation and looked up in
+    # one C-level pass, with no generator frame and no table of slices
+    return any(map(gens.__contains__, accumulate(zip(w))))
 
 
 def _spread_gaps(ideal: MonomialIdeal) -> bool:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import KK_FT, KK_IDEAL_GENS, KK_LEX_GENS, REALIZE_GENERATORS
 import tspread
-from tspread import construct, core, count
+from tspread import cli, construct, core, count
+from tspread.betti import extremal_corners
 from tspread.cli import (
     COMMANDS,
     FORCE_LIMIT,
@@ -518,6 +520,102 @@ def test_ideal_transcript(capsys, monkeypatch, argv, stdin, code, out, message):
         assert got == (2, "", command_error(argv[0], message))
     else:
         assert run(capsys, *argv) == (code, out, message)
+
+
+# The per-degree line templates against the renderer they replace, one
+# ``format_monomial`` call a line, on seeded input to every listing command.
+def reference_list(monomials):
+    return monomials, map(format_monomial, monomials)
+
+
+LISTING = sorted(
+    name for name, row in COMMANDS.items() if row.render in (cli._monomial_list, cli._realized)
+)
+RENDER_CASES = 40
+
+
+def text_of(m):
+    return ",".join(map(str, m))  # "" parses back as the unit monomial
+
+
+def listing_invocation(rng, name):
+    """(argv, stdin) of a random valid call of listing command ``name``."""
+    n, t = rng.randint(1, 12), rng.choice([1, 1, 2, 3, 5])
+    ctx = Context(n, t)
+
+    def spread(low=0):
+        return rng.choice(construct.t_veronese(rng.randint(low, ctx.max_degree()), ctx))
+
+    def ideal():
+        return MonomialIdeal(ctx, [spread(1) for _ in range(rng.randint(1, 4))])
+
+    argv, stdin = [name, "--n", str(n), "--t", str(t)], ""
+    if name == "sieve":
+        argv += [text_of(sorted(rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))))
+                 for _ in range(rng.randint(1, 5))]
+    elif name == "shadow":
+        argv += [text_of(spread()) for _ in range(rng.randint(1, 4))]
+    elif name in ("lex-mon", "ss-mon"):
+        argv.append(text_of(spread()))
+    elif name == "lex-seg":
+        chain = construct.t_veronese(rng.randint(0, ctx.max_degree()), ctx)
+        i, j = sorted(rng.randrange(len(chain)) for _ in range(2))
+        argv += [text_of(chain[i]), text_of(chain[j])]
+    elif name == "ss-seg":
+        u = spread()
+        argv += [text_of(rng.choice(construct.t_ss_mon(u, ctx))), text_of(u)]
+    elif name == "veronese":
+        argv.append(str(rng.randint(0, ctx.max_degree())))
+    elif name in ("ss-ideal", "lex-ideal"):
+        # lex-ideal reads a closure: only strongly stable ideals are sure to
+        # have quotient counts some lex ideal shares
+        gens = (ideal() if name == "ss-ideal" else construct.t_ss_ideal(ideal())).gens
+        stdin = "".join(text_of(g) + "\n" for g in gens)
+    elif name == "realize-betti":
+        # few random closures have two corners, and only those give basic
+        # monomials and generators of mixed degrees: take the first of 30
+        for _ in range(30):
+            config = extremal_corners(construct.t_ss_ideal(ideal()))
+            if len(config.corners) > 1:
+                break
+        argv += [f"{k},{l}={a}" for (k, l), a in zip(config.corners, config.values)]
+    else:
+        raise AssertionError(f"no invocation for listing command {name}")
+    if name in ("lex-mon", "ss-mon", "lex-seg") and argv[-1] == "":
+        argv.append("--force")  # their size guards count degree 1 on
+    return argv, stdin
+
+
+@pytest.mark.parametrize("name", LISTING)
+def test_line_templates_render_as_format_monomial(capsys, monkeypatch, name):
+    rng = random.Random(f"render-{name}")
+    outputs = []
+    row = COMMANDS[name]
+
+    def rendered(argv, stdin, reference):
+        with monkeypatch.context() as patch:
+            patch.setattr("sys.stdin", io.StringIO(stdin))
+            if reference:
+                if row.render is cli._monomial_list:
+                    patch.setattr(row, "render", reference_list)
+                patch.setattr(cli, "_monomial_list", reference_list)  # as _realized calls it
+            return run(capsys, *argv)
+
+    for _ in range(RENDER_CASES):
+        argv, stdin = listing_invocation(rng, name)
+        got = rendered(argv, stdin, False)
+        assert got == rendered(argv, stdin, True), (argv, stdin)
+        assert got[0] == 0, (argv, stdin, got)
+        outputs.append((argv, got[1].splitlines()))
+    # t = 1 and t >= 2 both rendered, and the unit monomial (input "", or
+    # degree 0) and mixed degrees wherever the command can emit them; a line
+    # "1" is the unit or x_1, so the unit is told by the input
+    assert {argv[4] == "1" for argv, _ in outputs} == {True, False}
+    if name in ("sieve", "lex-mon", "lex-seg", "ss-mon", "ss-seg", "veronese"):
+        assert any("" in argv or argv[-1] == "0" for argv, _ in outputs)
+    if name in ("sieve", "shadow", "ss-ideal", "lex-ideal", "realize-betti"):
+        assert any(len({line.count(",") for line in lines if line[0].isdigit()}) > 1
+                   for _, lines in outputs)
 
 
 # Fuzzing the exit-code contract: whatever the input, ``main`` returns 0 or 1

@@ -120,6 +120,15 @@ class TestNextLex:
         with pytest.raises(NotTSpreadError):
             t_next_lex((1, 2), Context(9, 2))
 
+    @pytest.mark.parametrize("n,t", IDEAL_RINGS + [(2, 3), (3, 5)])
+    def test_walks_every_slice(self, n, t):
+        # each t-spread monomial, degree 0 and t > n included, steps to the
+        # next one of the oracle's slice, and the last one to None
+        ctx = Context(n, t)
+        for d in range(ctx.max_degree() + 1):
+            chain = enumerate_veronese(d, ctx)
+            assert list(map(t_next_lex, chain, [ctx] * len(chain))) == chain[1:] + [None]
+
 
 class TestLexSegments:
     def test_known_segment_size(self):

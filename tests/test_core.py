@@ -4,6 +4,7 @@ import random
 import time
 from itertools import chain, combinations
 from math import comb
+from operator import lt, sub
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ from tspread.core import (
 from tspread.count import cq_operator
 
 C5, C5_2 = Context(5, 1), Context(5, 2)
+C3_5 = Context(3, 5)  # a spread past the ring: only degrees 0 and 1 are t-spread
 
 
 class TestContext:
@@ -105,6 +107,12 @@ REFUSALS = [
     (cq_operator, ((4, 4, 5),), TSpreadError, "arguments must be nonincreasing, got (4, 4, 5)"),
     (cq_operator, ((2.5, 4.0),), TSpreadError, "arguments must be nonincreasing, got (2, 4)"),
     (cq_operator, ((3, False),), TSpreadError, "arguments must be positive, got (3, 0)"),
+    # a spread past the ring: degrees 0 and 1 are refused only out of range
+    (require_t_spread, ((0,), C3_5), TSpreadError, "indices of (0,) fall outside [1, 3]"),
+    (require_t_spread, ((4,), C3_5), TSpreadError, "indices of (4,) fall outside [1, 3]"),
+    (validate_monomial, ((False,), C3_5), TSpreadError, "indices of (0,) fall outside [1, 3]"),
+    (require_t_spread, ((1, 3), C3_5), NotTSpreadError, "expected a t-spread monomial"),
+    (require_t_spread, ((3, 1), C3_5), TSpreadError, "support must be strictly increasing, got (3, 1)"),
 ]
 
 
@@ -117,6 +125,81 @@ def test_boundary_refusals(check, args, error, message):
         check(*args)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+# Degrees 0 and 1 pass every spread check, also when t exceeds n: their
+# least gap counts as t.
+ACCEPTED = [
+    (validate_monomial, ((), C3_5), ()),
+    (require_t_spread, ((), C3_5), ()),
+    (is_t_spread, ((), C3_5), True),
+    (require_t_spread, ((1,), Context(2, 3)), (1,)),
+    (require_t_spread, ((3,), C3_5), (3,)),
+    (require_t_spread, ([True], C3_5), (1,)),
+    (is_t_spread, ([2.5], C3_5), True),
+    (is_t_spread, ((1,), Context(1, 9)), True),
+]
+
+
+@pytest.mark.parametrize(
+    "check, args, expected", ACCEPTED,
+    ids=[f"{r[0].__name__}-{k}" for k, r in enumerate(ACCEPTED)],
+)
+def test_boundary_accepts_low_degrees_past_the_ring(check, args, expected):
+    got = check(*args)
+    assert got == expected and type(got) is type(expected)
+    assert all(type(i) is int for i in (got if type(got) is tuple else ()))
+
+
+def three_pass(u, ctx):
+    """The boundary check as three passes over ``u``: the reference of the
+    one-pass helper.  The converted monomial and whether it is t-spread."""
+    m = tuple(map(int, u))
+    if not all(map(lt, m, m[1:])):
+        raise TSpreadError(f"support must be strictly increasing, got {m}")
+    if m and (m[0] < 1 or m[-1] > ctx.n):
+        raise TSpreadError(f"indices of {m} fall outside [1, {ctx.n}]")
+    return m, len(m) < 2 or min(map(sub, m[1:], m)) >= ctx.t
+
+
+def reference_checks(u, ctx):
+    m, spread = three_pass(u, ctx)
+    if not spread:
+        raise NotTSpreadError("expected a t-spread monomial")
+    return m
+
+
+def outcome(check, *args):
+    # the value, or the exception's exact type and message
+    try:
+        return "value", check(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+MEMBERS = st.one_of(
+    st.integers(-2, 12), st.booleans(), st.floats(-2, 12, allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 9), t=st.integers(1, 12),
+    members=st.lists(MEMBERS, max_size=6), as_tuple=st.booleans(), increasing=st.booleans(),
+)
+def test_one_pass_boundary_matches_three_passes(n, t, members, as_tuple, increasing):
+    # t > n, repeated, unsorted and out-of-range members, bools and floats;
+    # ``increasing`` sorts the members, so that spread refusals are drawn too
+    if increasing:
+        members.sort()
+    u = tuple(members) if as_tuple else members
+    ctx = Context(n, t)
+    assert outcome(validate_monomial, u, ctx) == outcome(lambda *a: three_pass(*a)[0], u, ctx)
+    assert outcome(is_t_spread, u, ctx) == outcome(lambda *a: three_pass(*a)[1], u, ctx)
+    assert outcome(require_t_spread, u, ctx) == outcome(reference_checks, u, ctx)
+    got = outcome(require_t_spread, u, ctx)
+    if got[0] == "value":
+        assert all(type(i) is int for i in got[1])
 
 
 def test_boundary_converts_float_and_bool_members():
