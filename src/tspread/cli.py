@@ -42,8 +42,19 @@ def parse_monomial(text: str) -> Monomial:
     return tuple(indices)
 
 
+class _Templates(dict):
+    # the line template of each degree, made on first use: "%d,%d,%d" for
+    # degree 3 and "1" for degree 0; one per degree seen
+    def __missing__(self, d: int) -> str:
+        fmt = self[d] = ",".join(["%d"] * d) or "1"
+        return fmt
+
+
+_TEMPLATES = _Templates()
+
+
 def format_monomial(m: Monomial) -> str:
-    return ",".join(map(str, m)) if m else "1"
+    return _TEMPLATES[len(m)] % m
 
 
 def brace_vector(values: Sequence[int]) -> str:
@@ -148,20 +159,10 @@ def _flag(name: str, help_: str) -> Arg:
 Rendered = tuple[object, Iterable[str]]
 
 
-class _Templates(dict):
-    # the line template of each degree, made on first use: "%d,%d,%d" for
-    # degree 3 and "1" for degree 0, so that ``template % m`` is
-    # ``format_monomial(m)`` for a tuple of exact ints
-    def __missing__(self, d: int) -> str:
-        fmt = self[d] = ",".join(["%d"] * d) or "1"
-        return fmt
-
-
 def _monomial_list(monomials: Sequence[Monomial]) -> Rendered:
     # json writes tuples as lists, and the lines are formatted when written,
-    # each by its degree's template in one C-level pass
-    templates = _Templates().__getitem__
-    return monomials, map(mod, map(templates, map(len, monomials)), monomials)
+    # each by its degree's template (``format_monomial``) in one C-level pass
+    return monomials, map(mod, map(_TEMPLATES.__getitem__, map(len, monomials)), monomials)
 
 
 def _scalar(value: int) -> Rendered:

@@ -13,9 +13,9 @@ Lex and Borel sets are the t-spread monomials capped by a monomial ``c``
 are the monomials Borel-above ``u``; every monomial of a degree is
 Borel-above its slex-least one, so capped by ``min_mon`` they are a stretch
 of the whole lex order.  Two kernels list them.  The successor ``_step``
-bumps the last index still below its cap and repacks the tail t apart; it
-serves the lazy calls (``iter_veronese``), and ``t_next_lex`` takes the same
-step with the slex-least caps counted down, not built per call.
+bumps the last index still below its slex-least cap, counted down from n,
+and repacks the tail t apart; it serves the lazy and single-step calls
+(``t_next_lex``, ``iter_veronese``).
 The split walk ``_walk`` serves every list, lex and Borel, at every t: it
 cuts the members halfway along into heads and tails, lists the heads and
 one table of tails, shared by all heads, by the same walk, and joins each
@@ -152,12 +152,13 @@ def _shadow_runs(ms: set[Monomial], ctx: Context) -> list[Monomial]:
     return [*compress(merged, map(ne, merged, islice(merged, 1, None))), *merged[-1:]]
 
 
-def _step(w: Monomial, caps: Monomial, t: int) -> Monomial | None:
-    # slex successor of w among the monomials Borel-above caps, None at caps;
-    # the repacked tail stays under caps because caps is t-spread
-    q = len(w) - 1
-    while q >= 0 and w[q] >= caps[q]:
-        q -= 1
+def _step(w: Monomial, n: int, t: int) -> Monomial | None:
+    # slex successor of w, None at the slex-least monomial; its caps,
+    # n - (d-1-q)t at position q, are counted down, not built per call, and
+    # the repacked tail stays under them because they are t-spread
+    q, cap = len(w) - 1, n
+    while q >= 0 and w[q] >= cap:
+        q, cap = q - 1, cap - t
     if q < 0:
         return None
     return w[:q] + tuple(range(w[q] + 1, w[q] + 1 + (len(w) - q) * t, t))
@@ -233,27 +234,17 @@ def t_next_lex(u: Sequence[int], ctx: Context) -> Monomial | None:
     Looks for the last position whose index can grow while leaving room for
     a t-spread tail, bumps it, and packs the tail as tightly as possible.
     """
-    m = require_t_spread(u, ctx)
-    t = ctx.t
-    # ``_step`` under the caps of the slex-least monomial, n - (d-1-q)t at
-    # position q, counted down in place of a caps tuple built per call
-    q, cap = len(m) - 1, ctx.n
-    while q >= 0 and m[q] >= cap:
-        q, cap = q - 1, cap - t
-    if q < 0:
-        return None
-    return m[:q] + tuple(range(m[q] + 1, m[q] + 1 + (len(m) - q) * t, t))
+    return _step(require_t_spread(u, ctx), ctx.n, ctx.t)
 
 
 def iter_veronese(d: int, ctx: Context) -> Iterator[Monomial]:
     """All t-spread monomials of degree d, lazily, descending in slex."""
     if d and 1 + (d - 1) * ctx.t > ctx.n:
         return
-    low = min_mon(d, ctx)
     w: Monomial | None = max_mon(d, ctx)
     while w is not None:
         yield w
-        w = _step(w, low, ctx.t)
+        w = _step(w, ctx.n, ctx.t)
 
 
 def t_veronese(d: int, ctx: Context) -> list[Monomial]:

@@ -523,9 +523,19 @@ def test_ideal_transcript(capsys, monkeypatch, argv, stdin, code, out, message):
 
 
 # The per-degree line templates against the renderer they replace, one
-# ``format_monomial`` call a line, on seeded input to every listing command.
+# string join a line, on seeded input to every listing command.
+def joined(m):
+    return ",".join(map(str, m)) if m else "1"
+
+
 def reference_list(monomials):
-    return monomials, map(format_monomial, monomials)
+    return monomials, map(joined, monomials)
+
+
+def test_format_monomial_is_the_listing_template():
+    # next-lex and the listings print a line by the same template
+    for m in [(), (1,), (2, 5, 9), tuple(range(1, 1202))]:
+        assert format_monomial(m) == joined(m) == "".join(cli._monomial_list([m])[1])
 
 
 LISTING = sorted(
@@ -587,7 +597,7 @@ def listing_invocation(rng, name):
 
 
 @pytest.mark.parametrize("name", LISTING)
-def test_line_templates_render_as_format_monomial(capsys, monkeypatch, name):
+def test_line_templates_render_as_joined_indices(capsys, monkeypatch, name):
     rng = random.Random(f"render-{name}")
     outputs = []
     row = COMMANDS[name]

@@ -308,11 +308,23 @@ def test_walks_and_shadow_match_oracle_in_order(n, t):
             assert t_shadow(u, ctx) == sorted(oracle_shadow([u], ctx))
 
 
+def capped_step(w, caps, t):
+    """The slex successor of w among the t-spread monomials under ``caps``
+    (componentwise), None at caps: bump the last index still below its cap
+    and repack the tail t apart."""
+    q = len(w) - 1
+    while q >= 0 and w[q] >= caps[q]:
+        q -= 1
+    if q < 0:
+        return None
+    return w[:q] + tuple(range(w[q] + 1, w[q] + 1 + (len(w) - q) * t, t))
+
+
 def stepped(top, bottom, caps, t):
-    """The successor walk the level builder replaced: ``_step`` from top to bottom."""
+    """The successor walk the level builder replaced: ``capped_step`` from top to bottom."""
     out = [top]
     while out[-1] != bottom:
-        out.append(construct._step(out[-1], caps, t))
+        out.append(capped_step(out[-1], caps, t))
     return out
 
 
