@@ -532,12 +532,6 @@ def reference_list(monomials):
     return monomials, map(joined, monomials)
 
 
-def test_format_monomial_is_the_listing_template():
-    # next-lex and the listings print a line by the same template
-    for m in [(), (1,), (2, 5, 9), tuple(range(1, 1202))]:
-        assert format_monomial(m) == joined(m) == "".join(cli._monomial_list([m])[1])
-
-
 LISTING = sorted(
     name for name, row in COMMANDS.items() if row.render in (cli._monomial_list, cli._realized)
 )
