@@ -197,6 +197,15 @@ def _expansion(result: int | list[tuple[int, int]]) -> Rendered:
     return [list(t) for t in result], ["{" + ", ".join("{%d,%d}" % t for t in result) + "}"]
 
 
+def _set_size(counter: Callable[[Monomial, Context], int]) -> Callable[[Monomial, Context], int]:
+    # the size of the smallest lex or strongly stable set containing u: the
+    # counts take degree 1 on, and the unit monomial's set is {1}
+    return lambda u, ctx: counter(u, ctx) if u else 1
+
+
+_lex_size = _set_size(count.count_t_lex_mon)
+
+
 def _slices_size(ideal: MonomialIdeal, ctx: Context) -> int:
     """Monomials in the degree slices from the lowest generator degree up.
 
@@ -286,12 +295,12 @@ COMMANDS: dict[str, Command] = {
         oracle=lambda r, u, ctx: r == oracle.oracle_next_lex(u, ctx)),
     "lex-seg": Command(
         "lex segment between two monomials", (START, END), construct.t_lex_seg, _monomial_list,
-        size=lambda v, u, ctx: count.count_t_lex_mon(u, ctx) - count.count_t_lex_mon(v, ctx) + 1,
+        size=lambda v, u, ctx: _lex_size(u, ctx) - _lex_size(v, ctx) + 1,
         oracle=lambda r, v, u, ctx:
             set(r) == {w for w in oracle.oracle_lex_set(u, ctx) if w >= v}),
     "lex-mon": Command(
         "smallest lex set containing a monomial", (MONOMIAL,), construct.t_lex_mon, _monomial_list,
-        size=count.count_t_lex_mon,
+        size=_lex_size,
         oracle=lambda r, u, ctx: set(r) == oracle.oracle_lex_set(u, ctx)),
     "count-lex": Command(
         "size of the smallest lex set, without construction", (MONOMIAL,),
@@ -306,7 +315,7 @@ COMMANDS: dict[str, Command] = {
             set(r) == {w for w in oracle.oracle_borel_set(u, ctx) if w >= v}),
     "ss-mon": Command(
         "smallest strongly stable set containing a monomial", (MONOMIAL,),
-        construct.t_ss_mon, _monomial_list, size=count.count_t_ss_mon,
+        construct.t_ss_mon, _monomial_list, size=_set_size(count.count_t_ss_mon),
         oracle=lambda r, u, ctx: set(r) == oracle.oracle_borel_set(u, ctx)),
     "count-ss": Command(
         "size of the smallest strongly stable set", (MONOMIAL,), count.count_t_ss_mon, _scalar,

@@ -12,7 +12,12 @@ the least gap between neighbours decides both checks, strict increase
 (least gap at least 1) and spread (least gap at least t).  Below degree 2
 the least gap counts as t, so such monomials are t-spread for every t,
 also t > n.  Batches of monomials are checked on their index columns
-instead (``_canonical`` here, ``construct._slices`` for sets).
+instead (``_canonical`` here, ``construct._slices`` for sets), and the
+least gap an ideal's input shows there certifies it t-spread when it is at
+least t.  Membership in an ideal known to be strongly stable is the one
+query answered before any check: the prefixes of a tuple are looked up
+among the generators first, a hit answers True with no check, and only a
+miss is checked, inline, before it answers False.
 
 All values are immutable and all functions are pure, so everything can be
 shared freely across threads.  An ideal remembers facts derived from its
@@ -30,6 +35,7 @@ from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
 _T = TypeVar("_T")
+_INT = frozenset((int,))  # ``contains``'s exact-int test, built once
 
 
 class TSpreadError(ValueError):
@@ -314,24 +320,34 @@ def _columns_fit(cols: Sequence[Sequence[int]], n: int, t: int) -> bool:
     return not cols or (min(cols[0]) >= 1 and max(cols[-1]) <= n and _columns_spread(cols, t))
 
 
-def _canonical(gens: Iterable[Sequence[int]], ctx: Context) -> tuple[Monomial, ...]:
+def _canonical(gens: Iterable[Sequence[int]], ctx: Context) -> tuple[tuple[Monomial, ...], int]:
     # The validated minimal generators of a proper ideal, (degree, slex)
-    # order.  Tuples of exact ints whose columns increase strictly inside
+    # order, and the least gap between neighbours in the input, ctx.t below
+    # degree 2.  Tuples of exact ints whose columns increase strictly inside
     # [1, n], degree by degree, with no unit monomial, pass a batch check and
-    # are minimalized as they are; anything else is validated member by
-    # member in input order, so the first offender raises.
+    # are minimalized as they are: the least gap of the adjacent columns is
+    # the strict-increase check (at least 1).  Anything else is validated
+    # member by member in input order (``_least_gap``), so the first
+    # offender raises.
     items = list(gens)
     if _exact_tuples(items):
         groups = _groups(items)
-        if all(d and _columns_fit(cols, ctx.n, 1) for d, _, cols in groups):
-            return tuple(_minimal(groups))
+        gap = min(
+            (min(map(sub, b, a)) for _, _, cols in groups for a, b in zip(cols, cols[1:])),
+            default=ctx.t,
+        )
+        if gap >= 1 and all(d and min(cols[0]) >= 1 and max(cols[-1]) <= ctx.n
+                            for d, _, cols in groups):
+            return tuple(_minimal(groups)), gap
     canon = []
+    gap = ctx.t
     for g in items:
-        m = validate_monomial(g, ctx)
+        m, g_gap = _least_gap(g, ctx)
         if not m:
             raise TSpreadError("the unit monomial cannot generate a proper ideal")
         canon.append(m)
-    return tuple(_minimal(_groups(canon)))
+        gap = min(gap, g_gap)
+    return tuple(_minimal(_groups(canon))), gap
 
 
 def exchange_moves(u: Monomial, ctx: Context) -> Iterator[Monomial]:
@@ -366,8 +382,10 @@ class MonomialIdeal(Frozen):
     t-strongly stable (a True stability verdict implies the first), the
     generators' (degree, max index) shapes, and the generators as a set.
     Each is derived by the first call that needs it; a copy or an unpickled
-    ideal starts with an empty memo.  Once the ideal is known to be strongly
-    stable, ``contains`` answers t-spread input by prefix lookups.
+    ideal starts with an empty memo; a t-spread verdict is recorded at
+    construction when the input's least gap is at least t.  Once the ideal
+    is known to be strongly stable, ``contains`` answers a tuple by prefix
+    lookups: a hit needs no check, and only a miss is checked.
     """
 
     __slots__ = ("ctx", "gens", "_memo")
@@ -376,8 +394,11 @@ class MonomialIdeal(Frozen):
 
     def __init__(self, ctx: Context, gens: Iterable[Sequence[int]] = ()) -> None:
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "gens", _canonical(gens, ctx))
-        object.__setattr__(self, "_memo", {})
+        gens, gap = _canonical(gens, ctx)
+        object.__setattr__(self, "gens", gens)
+        # the minimal generators are input members: an input least gap of at
+        # least t certifies them t-spread, so the guards test no column again
+        object.__setattr__(self, "_memo", {"spread": True} if gap >= ctx.t else {})
 
     def _key(self) -> tuple:
         return (self.ctx, self.gens)
@@ -422,22 +443,27 @@ class MonomialIdeal(Frozen):
         """Monomial membership: some generator's support lies inside u's.
 
         When the ideal is already known to be t-strongly stable and ``u`` is
-        a tuple of exact ints, strictly increasing from 1 on with gaps of at
-        least t, the answer is whether some prefix ``u[:j]`` is a generator
-        (the prefix lemma of ``construct.is_t_ss_ideal``): at most deg u set
-        lookups.  Any other input, or an ideal not yet known to be stable,
-        is answered by a scan of the generators; this method never tests
-        stability itself.
+        a tuple, its prefixes ``u[:1]``, ``u[:2]``, ... are looked up among
+        the generators first, in one pass.  A hit answers True with no check
+        of ``u``: the generator found is a prefix, so its support lies
+        inside u's.  Only a miss is checked: it answers False when ``u`` is
+        non-empty, of exact ints, from 1 on and with gaps of at least t (the
+        prefix lemma of ``construct.is_t_ss_ideal``).  Any other input, or
+        an ideal not yet known to be stable, is answered by a scan of the
+        generators.  A tuple with an unhashable member raises the scan's
+        TypeError on either path.  This method never tests stability.
         """
-        if (
-            self._memo.get("ss")
-            and type(u) is tuple
-            and u
-            and set(map(type, u)) == {int}
-            and u[0] >= 1
-            and _gaps_at_least(u, self.ctx.t)
-        ):
-            return _has_prefix_in(u, self._fact("set", _gen_set))
+        if self._memo.get("ss") and type(u) is tuple:
+            hash(u)  # an unhashable member raises here as in the scan
+            if not self._fact("set", _gen_set).isdisjoint(accumulate(zip(u))):
+                return True
+            if (
+                u
+                and _INT.issuperset(map(type, u))
+                and u[0] >= 1
+                and (len(u) < 2 or min(map(sub, u[1:], u)) >= self.ctx.t)
+            ):
+                return False
         return any(map(set(u).issuperset, self.gens))
 
 

@@ -383,6 +383,26 @@ class TestErrors:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and "output would hold 20535023166 monomials" in err
 
+    def test_guards_take_the_spread_verdict_of_the_batch_check(self, monkeypatch):
+        # the n = 40 closure read back from its lines: the least column gap
+        # the batch check finds certifies it 2-spread, so neither guard
+        # builds the columns again
+        ctx = Context(40, 2)
+        closed = construct.t_ss_ideal(
+            MonomialIdeal(ctx, [(5, 12, 20, 30, 38), (3, 9, 18, 27), (7, 15, 25, 33, 40)]))
+        lines = "".join(format_monomial(g) + "\n" for g in closed.gens)
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        ideal = cli._ideal("-", ctx, pytest.fail)
+        assert ideal == closed and len(ideal.gens) == 129913
+
+        def refuse(ideal):
+            raise AssertionError("the t-spread test of the guards ran again")
+
+        monkeypatch.setattr(core, "_spread_gaps", refuse)
+        assert _closure_size(ideal, ctx) > FORCE_LIMIT
+        assert _slices_size(ideal, ctx) == sum(
+            count.card_veronese(j, ctx) for j in range(4, ctx.max_degree() + 1))
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -480,6 +500,29 @@ def test_transcript(capsys, tmp_path, argv, code, out, err):
         "real": write_ideal(tmp_path / "real.txt", REALIZE_GENERATORS),
     }
     assert run(capsys, *(a.format(**files) for a in argv)) == (code, out, err)
+
+
+# The listings of the unit monomial: its sets and segments are {1}, which
+# the size guards predict without --force.  The counts refuse it, and a lex
+# segment with one unit end meets the kernel's own degree check.
+UNIT_LISTINGS = [
+    (["lex-mon", ""], 0, "1\n", ""),
+    (["ss-mon", ""], 0, "1\n", ""),
+    (["lex-seg", "", ""], 0, "1\n", ""),
+    (["ss-seg", "", ""], 0, "1\n", ""),
+    (["count-lex", ""], 1, "", "error: counting requires degree at least 1\n"),
+    (["count-ss", ""], 1, "", "error: counting requires degree at least 1\n"),
+    (["lex-seg", "", "2"], 1, "", "error: slex comparison requires equal degrees\n"),
+    (["lex-seg", "2", ""], 1, "", "error: slex comparison requires equal degrees\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", UNIT_LISTINGS,
+                         ids=[f"{t[0][0]}-{k}" for k, t in enumerate(UNIT_LISTINGS)])
+def test_unit_monomial_listings(capsys, argv, code, out, err):
+    name, *monomials = argv
+    for force in ((), ("--force",)):  # a size guard lets the kernel answer
+        assert run(capsys, name, "--n", "3", "--t", "1", *monomials, *force) == (code, out, err)
 
 
 # The ideal reader's paths, stdin to exit code, stdout and stderr byte for
@@ -585,8 +628,6 @@ def listing_invocation(rng, name):
         argv += [f"{k},{l}={a}" for (k, l), a in zip(config.corners, config.values)]
     else:
         raise AssertionError(f"no invocation for listing command {name}")
-    if name in ("lex-mon", "ss-mon", "lex-seg") and argv[-1] == "":
-        argv.append("--force")  # their size guards count degree 1 on
     return argv, stdin
 
 

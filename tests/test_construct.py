@@ -1001,17 +1001,38 @@ def test_prefix_membership_matches_scan(n, t, minimal_builds):
 
 def scan_contains(ideal, u):
     """Membership by the generator scan: some generator's support inside u's."""
-    return any(set(g) <= set(u) for g in ideal.gens)
+    support = set(u)  # once, as an iterator gives it once
+    return any(set(g) <= support for g in ideal.gens)
+
+
+class Indices(tuple):
+    """A tuple subclass, which ``contains`` answers by the scan.  The scan
+    only iterates it; indexing it, as the checks of the prefix path do,
+    fails."""
+
+    def __getitem__(self, key):
+        raise AssertionError("a tuple subclass took the prefix path")
 
 
 def membership_inputs(ctx):
     """What ``contains`` is asked: every t-spread monomial of the ring, and
     each of them reversed, with its first index twice, with index 0 in
     front, with index n + 1 behind, with an index 1 apart (not t-spread
-    unless t = 1) and as a list; then () and the single indices 0 and n + 1."""
+    unless t = 1) and as a list; then () and the single indices 0 and n + 1.
+    Then each of them with members that are no index: index 1 as True and
+    False in front, as floats, with a last index off by 0.5, as a string or
+    in a list (unhashable, first or last), followed by "x", and as a tuple
+    subclass.  (``test_contains_matches_generator_scan`` asks iterators.)"""
     out = [(), (0,), (ctx.n + 1,)]
     for u in spread_monomials(ctx.n, ctx.t):
         out += [u, u[::-1], u[:1] + u, (0,) + u, u + (ctx.n + 1,), u + (u[-1] + 1,), list(u)]
+    for u in spread_monomials(ctx.n, ctx.t):
+        *head, last = u
+        out += [
+            tuple(True if i == 1 else i for i in u), (False,) + u,
+            tuple(map(float, u)), (*head, last + 0.5), (*head, str(last)),
+            (*head, [last]), ([u[0]],) + u[1:], u + ("x",), Indices(u),
+        ]
     return out
 
 
@@ -1026,29 +1047,45 @@ def membership_variants(ideal):
 
 @pytest.mark.parametrize("n,t", CLOSURE_RINGS)
 def test_contains_matches_generator_scan(n, t):
-    # the prefix path answers exactly as the scan, and only a stable verdict
-    # the ideal already holds opens it.  The closures are their own
-    # closures, so all three variants of one share its generators.
-    inputs = membership_inputs(Context(n, t))
-    supports = [set(u) for u in inputs]
-    for ideal in [ideal for ideal, _ in small_ideals(n, t)] + small_closures(n, t):
-        gens = [set(g) for g in ideal.gens]
-        want = [any(g <= u for g in gens) for u in supports]
+    # the prefix path answers exactly as the scan, a raised TypeError
+    # included (``outcome``), and only a stable verdict the ideal already holds opens it.
+    # The closures are their own closures, so all three variants of one
+    # share its generators.
+    ctx = Context(n, t)
+    inputs = membership_inputs(ctx)
+    ideals = [ideal for ideal, _ in small_ideals(n, t)] + small_closures(n, t)
+    for ideal in ideals + [MonomialIdeal(ctx)]:
+        want = [outcome(scan_contains, ideal, u) for u in inputs]
         cold, warm, closed = membership_variants(ideal)
         for case in (cold, warm) + ((closed,) if closed == ideal else ()):
-            assert list(map(case.contains, inputs)) == want, case
+            assert [outcome(case.contains, u) for u in inputs] == want, case
+            # an iterator is consumed once, by the scan
+            for u in spread_monomials(n, t):
+                assert case.contains(iter(u)) == scan_contains(case, u), (case, u)
+            # a hit answers True whatever follows the generator
+            assert all(case.contains(g + ("x",)) for g in case.gens), case
         assert "ss" not in cold._memo  # contains never tests stability
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(ideal=spread_ideals(), data=st.data())
 def test_contains_matches_generator_scan_hypothesis(ideal, data):
-    # unsorted, duplicated, out-of-range and non-t-spread input included
+    # unsorted, duplicated, out-of-range and non-t-spread input included;
+    # then members that are no index (bools, floats, strings and lists,
+    # which are unhashable) among the indices, as a tuple, a tuple
+    # subclass, a list and an iterator, a raised TypeError compared too
     index = st.integers(0, ideal.ctx.n + 1)
     u = tuple(data.draw(st.lists(index, max_size=6)))
+    member = st.one_of(index, st.booleans(), index.map(float), st.floats(0, ideal.ctx.n + 1),
+                       index.map(str), index.map(lambda i: [i]))
+    v = tuple(data.draw(st.lists(member, max_size=6)))
     for case in membership_variants(ideal):
         for probe in (u, tuple(sorted(set(u))), list(u)):
             assert case.contains(probe) == scan_contains(case, probe), (case.gens, probe)
+        for probe in (v, Indices(v), list(v)):
+            assert outcome(case.contains, probe) == outcome(scan_contains, case, probe), \
+                (case.gens, probe)
+        assert outcome(case.contains, iter(v)) == outcome(scan_contains, case, v), (case.gens, v)
 
 
 def test_each_ideal_runs_the_stability_kernel_once(monkeypatch):

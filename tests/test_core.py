@@ -26,6 +26,7 @@ from tspread.core import (
     NotTSpreadError,
     TSpreadError,
     _gaps_at_least,
+    _spread_gaps,
     borel_geq,
     cmp_slex,
     is_t_spread,
@@ -346,6 +347,24 @@ class TestMonomialIdeal:
         assert is_t_spread_ideal(MonomialIdeal(Context(8, 2), ((1, 3),)))
         assert not is_t_spread_ideal(MonomialIdeal(Context(8, 2), ((1, 2),)))
 
+    def test_t_spread_verdict_from_the_input_gap(self, monkeypatch):
+        # an input least gap of at least t is recorded at construction, on
+        # the batch path and member by member; below t the minimal
+        # generators decide, when asked: (1, 3) alone is 2-spread
+        ctx = Context(8, 2)
+        derived = []
+        monkeypatch.setattr("tspread.core._spread_gaps",
+                            lambda ideal: derived.append(ideal) or _spread_gaps(ideal))
+        for gens in (((1, 3), (2, 5, 8)), ([1, 3], [2, 5, 8]), ((4,), (8,)), ((True,),), ()):
+            ideal = MonomialIdeal(ctx, gens)
+            assert ideal._memo == {"spread": True} and is_t_spread_ideal(ideal), gens
+        assert not derived
+        for gens, spread in ((((1, 3), (1, 2, 3)), True), (([1, 3], [1, 2, 3]), True),
+                             (((1, 2),), False), (((2, 4), (3, 4)), False)):
+            ideal = MonomialIdeal(ctx, gens)
+            assert ideal._memo == {} and is_t_spread_ideal(ideal) == spread, gens
+        assert len(derived) == 4
+
 
 # The immutable value classes: how they are built, compared, hashed, shown,
 # pickled and copied, and that their fields cannot change.  Each row is the
@@ -411,7 +430,7 @@ class TestValueClasses:
         value = cls(*args)
         if cls is MonomialIdeal:  # its memo filled, which is no part of the value
             assert graded_betti(value).total(0) == 2 and value.contains((1, 3, 5))
-            assert set(value._memo) == {"ss", "shapes", "set"}
+            assert set(value._memo) == {"spread", "ss", "shapes", "set"}
             assert value == cls(**kwargs) and hash(value) == hash(cls(**kwargs))
             assert repr(value) == text
         copies = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
@@ -572,7 +591,8 @@ def test_valid_tuples_skip_member_validation(monkeypatch):
     def refuse(*_):
         raise AssertionError("validated member by member")
 
-    monkeypatch.setattr("tspread.core.validate_monomial", refuse)
+    # the member check, which validate_monomial calls too
+    monkeypatch.setattr("tspread.core._least_gap", refuse)
     assert MonomialIdeal(REALIZE_CTX, gens).gens == want == REALIZE_GENERATORS
     # however few they are
     assert MonomialIdeal(REALIZE_CTX, ((2, 5, 9, 13), (1, 4), (2, 5, 9))).gens == ((1, 4), (2, 5, 9))
