@@ -19,7 +19,6 @@ import argparse
 import os
 import sys
 from itertools import chain
-from math import prod
 from operator import mod
 from pathlib import Path
 from typing import Callable, Iterable, NoReturn, Sequence
@@ -206,26 +205,20 @@ def _set_size(counter: Callable[[Monomial, Context], int]) -> Callable[[Monomial
 _lex_size = _set_size(count.count_t_lex_mon)
 
 
-def _slices_size(ideal: MonomialIdeal, ctx: Context) -> int:
-    """Monomials in the degree slices from the lowest generator degree up.
+def _ring(ideal: MonomialIdeal, ctx: Context) -> int:
+    """Guard of a command that only counts: it lists no monomial, so 0 once
+    the ideal passes the kernel's check, unless its count vector is too long.
 
-    Slice j holds C(m, j) monomials, m = n - (j-1)(t-1) (``card_veronese``).
-    The next slice, C(m - s, j+1) with s = t - 1, is this one times
-    (m-j)(m-j-1)...(m-j-s) and divided by m(m-1)...(m-s+1) and by j+1, an
-    exact division.  So one binomial, then about t small factors per
-    slice, whatever the lowest degree.
+    The vector has D + 1 entries, each counting the t-spread monomials of one
+    degree, so each is below 2^n, of at most n log10(2) + 1 digits (0.30103 >
+    log10 2).
     """
     core.require_t_spread_ideal(ideal)
-    top = ctx.max_degree()
-    low = min(ideal.degrees(), default=top + 1)
-    s = ctx.t - 1
-    total = size = count.card_veronese(low, ctx)
-    for j in range(low, top):
-        m = ctx.n - (j - 1) * s
-        size *= prod(range(m - j - s, m - j + 1))
-        size //= prod(range(m - s + 1, m + 1)) * (j + 1)
-        total += size
-    return total
+    digits = (ctx.max_degree() + 1) * (ctx.n * 30103 // 10**5 + 1)
+    if digits > FORCE_LIMIT:
+        raise TSpreadError(
+            f"the count vector would hold {digits} digits; pass --force to build it")
+    return 0
 
 
 def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:
@@ -239,9 +232,10 @@ def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:
 
 
 def _lex_ideal_size(f: list[int] | None, ideal: MonomialIdeal | None, ctx: Context) -> int:
+    # an admissible f, given or the ideal's own, emits the generators of one
+    # rank interval per degree; the kernel counts the ideal's vector again
     if f is None:
-        return _slices_size(ideal, ctx)
-    # an admissible f emits the generators of one rank interval per degree
+        f = _ring(ideal, ctx) or kk.ft_vector(ideal)
     bounds = kk._shifted_bounds(f, ctx)
     if bounds is None:
         return 0
@@ -263,7 +257,7 @@ class Command:
         args: tuple[Arg, ...],
         kernel: Callable[..., object],  # (*values, ctx) -> result
         render: Callable[[object], Rendered],  # result -> (payload, lines)
-        size: Callable[..., int] | None = None,  # (*values, ctx) -> monomials to build
+        size: Callable[..., int] | None = None,  # (*values, ctx) -> lines printed, or 0
         # (result, *values, ctx) -> agreement, or None for no verdict; a
         # command without one reports the cross-check as not available
         oracle: Callable[..., bool | None] | None = None,
@@ -295,7 +289,9 @@ COMMANDS: dict[str, Command] = {
         oracle=lambda r, u, ctx: r == oracle.oracle_next_lex(u, ctx)),
     "lex-seg": Command(
         "lex segment between two monomials", (START, END), construct.t_lex_seg, _monomial_list,
-        size=lambda v, u, ctx: _lex_size(u, ctx) - _lex_size(v, ctx) + 1,
+        # exact; endpoints of unequal degrees reach the kernel's own error
+        size=lambda v, u, ctx:
+            _lex_size(u, ctx) - _lex_size(v, ctx) + 1 if len(v) == len(u) else 0,
         oracle=lambda r, v, u, ctx:
             set(r) == {w for w in oracle.oracle_lex_set(u, ctx) if w >= v}),
     "lex-mon": Command(
@@ -345,7 +341,7 @@ COMMANDS: dict[str, Command] = {
     "ft-vector": Command(
         "quotient counts of a t-spread ideal per degree", (IDEAL,),
         lambda ideal, ctx: kk.ft_vector(ideal), lambda vec: (vec, [brace_vector(vec)]),
-        size=_slices_size),
+        size=_ring),
     "macaulay": Command(
         "greedy binomial expansion of a value at a degree",
         (_int("value"), _int("degree"), _flag("--shift", "apply the growth-bound shift"),
@@ -363,7 +359,7 @@ COMMANDS: dict[str, Command] = {
         _monomial_list, size=_lex_ideal_size),
     "is-lex-ideal": Command(
         "whether every degree slice is an initial lex segment", (IDEAL,),
-        lambda ideal, ctx: construct.is_t_lex_ideal(ideal), _bool),
+        lambda ideal, ctx: construct.is_t_lex_ideal(ideal), _bool, size=_ring),
 }
 
 
@@ -373,7 +369,7 @@ COMMON = (
     Arg("--t", None, {"type": int, "help": "spread parameter (>= 1)"}),
     Arg("--format", None, {"choices": ("text", "json"), "default": "text"}),
     _flag("--oracle", "cross-check against the brute-force oracle"),
-    _flag("--force", "allow constructions beyond 10^6 monomials"),
+    _flag("--force", "list beyond 10^6 monomials, or count vectors beyond 10^6 digits"),
 )
 
 

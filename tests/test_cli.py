@@ -13,9 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KK_FT, KK_IDEAL_GENS, KK_LEX_GENS, REALIZE_GENERATORS
+from conftest import (
+    CLOSURE_RINGS,
+    KK_FT,
+    KK_IDEAL_GENS,
+    KK_LEX_GENS,
+    REALIZE_GENERATORS,
+    small_closures,
+)
 import tspread
-from tspread import cli, construct, core, count
+from tspread import cli, construct, core, kk
 from tspread.betti import extremal_corners
 from tspread.cli import (
     COMMANDS,
@@ -23,7 +30,7 @@ from tspread.cli import (
     _build_parser,
     _closure_size,
     _lex_ideal_size,
-    _slices_size,
+    _ring,
     format_monomial,
     main,
     parse_monomial,
@@ -40,6 +47,10 @@ def run(capsys, *argv):
 # C(20000, 4000), 4345 digits: past the 4300 that CPython (3.11 on) turns
 # into text by default
 HUGE_COUNT = ["count-lex", "--n", "20000", "--t", "1", ",".join(map(str, range(16001, 20001)))]
+
+# the refusal of a count vector at n = 20 000, t = 1: 20 001 entries of at
+# most 6 021 digits
+LONG_VECTOR = "the count vector would hold 120426021 digits; pass --force to build it"
 
 
 def decimal_text(value):
@@ -319,17 +330,15 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv, predicted",
         [
-            (["ft-vector"], 2**40 - 41),
-            (["lex-ideal"], 2**40 - 41),
             # every degree-7 monomial, C(40, 7) = 18 643 560, is a generator
             (["lex-ideal", "--f", "1,40,780,9880,91390,658008,3838380"], 18643560),
         ],
-        # fixed ids: the rows keep their names from the table that also held
-        # the is-lex-ideal row (argv1), now test_lex_ideal_test_needs_no_guard
-        ids=["argv0-1099511627735", "argv2-1099511627735", "argv3-4496378"],
+        # a fixed id: the row keeps its name from the table that also held
+        # the ft-vector, is-lex-ideal and ideal-input lex-ideal rows
+        ids=["argv3-4496378"],
     )
     def test_ideal_guards_are_immediate(self, capsys, monkeypatch, argv, predicted):
-        # every slice from degree 2 up, or the generators the vector emits
+        # the generators the vector emits
         monkeypatch.setattr("sys.stdin", io.StringIO("1,2\n"))
         start = time.perf_counter()
         code, _, err = run(capsys, *argv, "--n", "40", "--t", "1")
@@ -343,9 +352,34 @@ class TestErrors:
         assert _lex_ideal_size([1, 40, 780, 9880, 91390, 10], None, ctx) == 657999 < FORCE_LIMIT
         assert _lex_ideal_size([1, 40, 781, 0, 0, 0], None, ctx) == 0  # refused by the kernel
 
+    @pytest.mark.parametrize(
+        "name, gens, head",
+        [
+            ("ft-vector", "1", "{1, 39, 741, 9139,"),
+            ("ft-vector", "1,2", "{1, 40, 779,"),
+            ("lex-ideal", "1", "1\n"),
+            ("lex-ideal", "1,2", "1,2\n"),
+        ],
+        ids=["ft-vector-1", "ft-vector-1,2", "lex-ideal-1", "lex-ideal-1,2"],
+    )
+    def test_count_guards_answer_without_force(self, capsys, monkeypatch, name, gens, head):
+        # a count vector of 41 entries under 2^40 each: 533 digits at most,
+        # and lex-ideal lists the generators of the lex ideal sharing it
+        ctx = Context(40, 1)
+        ideal = MonomialIdeal(ctx, [parse_monomial(gens)])
+        if name == "ft-vector":
+            want = cli.brace_vector(kk.ft_vector(ideal)) + "\n"
+        else:
+            want = "".join(format_monomial(g) + "\n" for g in kk.t_lex_ideal_of(ideal).gens)
+        monkeypatch.setattr("sys.stdin", io.StringIO(gens + "\n"))
+        start = time.perf_counter()
+        assert run(capsys, name, "--n", "40", "--t", "1") == (0, want, "")
+        assert time.perf_counter() - start < 1.0
+        assert want.startswith(head)
+
     def test_lex_ideal_test_needs_no_guard(self, capsys, monkeypatch):
-        # is_t_lex_ideal decides by counts and builds nothing: the slices
-        # the ft-vector guard above counts are never made
+        # is_t_lex_ideal decides by counts and builds nothing, and its
+        # count vector of 41 entries passes the guard
         monkeypatch.setattr("sys.stdin", io.StringIO("1,2\n"))
         start = time.perf_counter()
         code, out, _ = run(capsys, "is-lex-ideal", "--n", "40", "--t", "1")
@@ -353,23 +387,53 @@ class TestErrors:
         assert code == 0 and out == "true\n"
 
     def test_slice_guard_is_immediate_at_large_n(self, capsys, monkeypatch):
-        # 2^20000 - 20001 subsets: every one but the empty one and the
-        # variables; too many digits to print, so a power of ten bounds it
+        # 20 001 entries, each under 2^20000 and so of at most 6 021 digits
         monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
         start = time.perf_counter()
         code, _, err = run(capsys, "ft-vector", "--n", "20000", "--t", "1")
         assert time.perf_counter() - start < 1.0
-        assert code == 1 and "output would hold at least 10^6020 monomials" in err
-        assert 10**6020 <= 2**20000 - 20001 < 10**6021
+        assert (code, err) == (1, f"error: {LONG_VECTOR}\n")
+        assert len(decimal_text(2**20000)) == 6021
 
     def test_slice_guard_is_immediate_at_mid_degree(self, capsys, monkeypatch):
-        # one generator of degree n/2: the slices from 10000 up hold more
-        # than half of the 2^20000 subsets
+        # one generator of degree n/2: the vector has as many entries
         monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, range(1, 10001))) + "\n"))
         start = time.perf_counter()
         code, _, err = run(capsys, "ft-vector", "--n", "20000", "--t", "1")
         assert time.perf_counter() - start < 1.0
-        assert code == 1 and "output would hold at least 10^6020 monomials" in err
+        assert (code, err) == (1, f"error: {LONG_VECTOR}\n")
+
+    @pytest.mark.parametrize("name", ["lex-ideal", "is-lex-ideal"])
+    def test_count_guard_refuses_a_long_vector(self, capsys, monkeypatch, name):
+        # both count the ft-vector of 20 001 entries first, in O(D^2) binomials
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
+        start = time.perf_counter()
+        code, _, err = run(capsys, name, "--n", "20000", "--t", "1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (1, f"error: {LONG_VECTOR}\n")
+
+    @pytest.mark.parametrize("name", ["ft-vector", "lex-ideal", "is-lex-ideal"])
+    def test_count_guard_checks_the_ideal_first(self, capsys, monkeypatch, name):
+        # a vector too long to build, of an ideal the kernel refuses anyway
+        monkeypatch.setattr("sys.stdin", io.StringIO("1,2\n"))
+        code, _, err = run(capsys, name, "--n", "20000", "--t", "2")
+        assert (code, err) == (1, "error: expected a t-spread ideal\n")
+
+    def test_count_vector_bound_covers_every_entry(self, monkeypatch):
+        # the digits the refusal names, against the zero ideal's vector, whose
+        # entries (every t-spread monomial of each degree) bound all others
+        monkeypatch.setattr(cli, "FORCE_LIMIT", -1)  # every vector refused
+        for n in range(1, 61):
+            for t in range(1, 5):
+                ctx = Context(n, t)
+                vector = kk.ft_vector(MonomialIdeal(ctx, ()))
+                with pytest.raises(core.TSpreadError) as excinfo:
+                    _ring(MonomialIdeal(ctx, ()), ctx)
+                digits = int(str(excinfo.value).removeprefix("the count vector would hold ")
+                             .split()[0])
+                assert max(vector) < 2**n, (n, t)
+                assert digits >= len(vector) * len(str(2**n - 1)), (n, t)
+                assert digits >= sum(len(str(f)) for f in vector), (n, t)
 
     def test_closure_guard(self, capsys, monkeypatch):
         # the n = 40 closure (Borel sets of 258 985 monomials, 129 913
@@ -400,8 +464,7 @@ class TestErrors:
 
         monkeypatch.setattr(core, "_spread_gaps", refuse)
         assert _closure_size(ideal, ctx) > FORCE_LIMIT
-        assert _slices_size(ideal, ctx) == sum(
-            count.card_veronese(j, ctx) for j in range(4, ctx.max_degree() + 1))
+        assert _ring(ideal, ctx) == 0
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -420,6 +483,15 @@ class TestErrors:
              "segment endpoints must have equal degrees"),
             (["ss-seg", "--t", "2", "3,5,7,9,11,13,15,17", "2,28,30,32,34,36,38,40"],
              "segment start must dominate its end in the Borel order"),
+            # the end's lex set holds 847 660 528 monomials, 3 838 380 for the
+            # start of the next row, and C(35, 6) = 1 623 160 for the last end
+            (["lex-seg", "--t", "1", "1", "31,32,33,34,35,36,37,38,39,40"],
+             "slex comparison requires equal degrees"),
+            (["lex-seg", "--t", "1", "35,36,37,38,39,40", "1,2,3,4,5,40"],
+             "segment start lies below its end in the slex order"),
+            (["lex-seg", "--t", "2", "1,2,5,7,9,11", "30,32,34,36,38,40"],
+             "expected a t-spread monomial"),
+            (["is-lex-ideal", "--t", "2"], "expected a t-spread ideal"),
         ],
     )
     def test_invalid_input_is_not_refused_for_size(self, capsys, monkeypatch, argv, message):
@@ -439,16 +511,6 @@ class TestErrors:
             main(argv)
         assert excinfo.value.code == 2
         assert f"bad vector {argv[-1]!r}" in capsys.readouterr().err
-
-    def test_slice_predictor_matches_direct_sum(self):
-        for n in range(1, 41):
-            for t in range(1, 8):
-                ctx = Context(n, t)
-                top = ctx.max_degree()
-                for low in range(1, top + 2):
-                    gens = (core.max_mon(low, ctx),) if low <= top else ()
-                    direct = sum(count.card_veronese(j, ctx) for j in range(low, top + 1))
-                    assert _slices_size(MonomialIdeal(ctx, gens), ctx) == direct, (n, t, low)
 
     def test_undecodable_ideal_file_exit_two(self, capsys, tmp_path):
         path = tmp_path / "ideal.txt"
@@ -523,6 +585,71 @@ def test_unit_monomial_listings(capsys, argv, code, out, err):
     name, *monomials = argv
     for force in ((), ("--force",)):  # a size guard lets the kernel answer
         assert run(capsys, name, "--n", "3", "--t", "1", *monomials, *force) == (code, out, err)
+
+
+def guarded_calls(rng, ctx):
+    """(name, argv, stdin, values) of seeded calls of the listing commands
+    whose guards are exact, ``values`` as the command's converters give them.
+
+    Every degree from 0 on, one segment across two degrees, and lex-ideal
+    of up to 12 small closures and of their vectors, whole or cut short: a
+    cut no lex ideal has, like the degrees, meets the kernel's own error.
+    """
+    calls = []
+    for d in range(ctx.max_degree() + 1):
+        chain = construct.t_veronese(d, ctx)
+        u = rng.choice(chain)
+        v = rng.choice(construct.t_ss_mon(u, ctx))
+        top, bottom = sorted(rng.choice(chain) for _ in range(2))
+        calls += [
+            ("lex-mon", [text_of(u)], "", (u,)),
+            ("ss-mon", [text_of(u)], "", (u,)),
+            ("lex-seg", [text_of(top), text_of(bottom)], "", (top, bottom)),
+            ("ss-seg", [text_of(v), text_of(u)], "", (v, u)),
+            ("veronese", [str(d)], "", (d,)),
+        ]
+    if ctx.max_degree():
+        top, bottom = (), rng.choice(construct.t_veronese(1, ctx))
+        calls.append(("lex-seg", [text_of(top), text_of(bottom)], "", (top, bottom)))
+    closures = small_closures(ctx.n, ctx.t)
+    for ideal in rng.sample(closures, min(len(closures), 12)):
+        f = kk.ft_vector(ideal)
+        cut = f[:rng.randint(1, len(f))]
+        calls += [
+            ("lex-ideal", [], "".join(format_monomial(g) + "\n" for g in ideal.gens),
+             (None, ideal)),
+            ("lex-ideal", ["--f", ",".join(map(str, f))], "", (f, None)),
+            ("lex-ideal", ["--f", ",".join(map(str, cut))], "", (cut, None)),
+        ]
+    return calls
+
+
+@pytest.mark.parametrize("n, t", CLOSURE_RINGS)
+def test_guard_predicts_the_lines_printed(capsys, monkeypatch, n, t):
+    # a listing command's guard is the number of lines it prints with --force
+    ctx = Context(n, t)
+    printed = set()
+    for name, argv, stdin, values in guarded_calls(random.Random(2600 + 10 * n + t), ctx):
+        predicted = COMMANDS[name].size(*values, ctx)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, _ = run(capsys, name, "--n", str(n), "--t", str(t), *argv, "--force")
+        assert len(out.splitlines()) == predicted, (name, argv, stdin, code)
+        printed |= {name} if predicted else set()
+    assert printed == {"lex-mon", "ss-mon", "lex-seg", "ss-seg", "veronese", "lex-ideal"}
+
+
+def test_lex_ideal_guard_counts_the_closure(capsys, monkeypatch, closure_40):
+    # the n = 40, t = 2 closure's lex ideal: 1 221 531 generators, predicted
+    # from the closure's ft-vector and listed under --force
+    closed, _ = closure_40
+    assert _lex_ideal_size(None, closed, closed.ctx) == 1221531
+    lines = "".join(format_monomial(g) + "\n" for g in closed.gens)
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    assert run(capsys, "lex-ideal", "--n", "40", "--t", "2") == (
+        1, "", "error: output would hold 1221531 monomials; pass --force to build it\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    code, out, err = run(capsys, "lex-ideal", "--n", "40", "--t", "2", "--force")
+    assert (code, out.count("\n"), err) == (0, 1221531, "")
 
 
 # The ideal reader's paths, stdin to exit code, stdout and stderr byte for
