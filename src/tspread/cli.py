@@ -8,24 +8,28 @@ comma-separated indices, ``2,5,9,14``, or in the product form
 stdin.
 
 Each subcommand is one row of ``COMMANDS``; the parser and ``main`` are
-both driven by that table alone.
+both driven by that table alone.  ``main`` reads an argument list in the
+table's plain grammar itself (``_parse``); argparse is imported only for
+help, for the usage line of an input error and for anything else.
 
 Exit status: 0 on success, 1 on domain errors (with the library's message on
 stderr), 2 on usage errors.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import chain
 from operator import mod
-from pathlib import Path
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
 from . import construct, core, count, kk, oracle
 from .betti import CornerConfig, extremal_corners, graded_betti, realize_extremal_betti
+from .construct import _TEMPLATES
 from .core import Context, Monomial, MonomialIdeal, TSpreadError
+
+if TYPE_CHECKING:
+    import argparse
 
 FORCE_LIMIT = 10**6
 
@@ -39,17 +43,6 @@ def parse_monomial(text: str) -> Monomial:
     else:
         indices = [int(p) for p in s.split(",") if p.strip()]
     return tuple(indices)
-
-
-class _Templates(dict):
-    # the line template of each degree, made on first use: "%d,%d,%d" for
-    # degree 3 and "1" for degree 0; one per degree seen
-    def __missing__(self, d: int) -> str:
-        fmt = self[d] = ",".join(["%d"] * d) or "1"
-        return fmt
-
-
-_TEMPLATES = _Templates()
 
 
 def format_monomial(m: Monomial) -> str:
@@ -82,7 +75,12 @@ def _vector(text: str, ctx: Context, fail: Fail) -> list[int]:
 
 def _ideal(source: str, ctx: Context, fail: Fail) -> MonomialIdeal:
     try:
-        text = sys.stdin.read() if source == "-" else Path(source).read_text()
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            from pathlib import Path  # here, not at the top: stdin needs no path
+
+            text = Path(source).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         fail(f"cannot read ideal from {source!r}: {exc}")
     lines = [line for line in text.splitlines() if line.strip()]
@@ -118,10 +116,10 @@ class Arg:
     """A positional or flag: its argparse declaration and its converter.
 
     A plain slotted class: a ``NamedTuple`` costs every process about half
-    a millisecond to create.
+    a millisecond to create.  ``dest`` is its name in the parsed arguments.
     """
 
-    __slots__ = ("name", "convert", "options", "unless")
+    __slots__ = ("name", "dest", "convert", "options", "unless")
 
     def __init__(
         self,
@@ -131,6 +129,7 @@ class Arg:
         unless: str | None = None,  # left unconverted (None) when this option is given
     ) -> None:
         self.name = name
+        self.dest = name.lstrip("-")
         self.convert = convert
         self.options = options
         self.unless = unless
@@ -231,11 +230,28 @@ def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:
     return sum(count._ss_size(g, ctx.t) for g in ideal.gens)
 
 
-def _lex_ideal_size(f: list[int] | None, ideal: MonomialIdeal | None, ctx: Context) -> int:
+class _Counted:
+    """An ideal read by ``lex-ideal``, whose quotient counts are counted at
+    most once in the call: by the guard, when it runs, and the kernel reads
+    the same vector.  Nothing outlives the call."""
+
+    __slots__ = ("ideal", "_f")
+
+    def __init__(self, ideal: MonomialIdeal) -> None:
+        self.ideal = ideal
+        self._f: list[int] | None = None
+
+    def f(self) -> list[int]:
+        if self._f is None:
+            self._f = kk.ft_vector(self.ideal)
+        return self._f
+
+
+def _lex_ideal_size(f: list[int] | None, ideal: _Counted | None, ctx: Context) -> int:
     # an admissible f, given or the ideal's own, emits the generators of one
-    # rank interval per degree; the kernel counts the ideal's vector again
+    # rank interval per degree
     if f is None:
-        f = _ring(ideal, ctx) or kk.ft_vector(ideal)
+        f = _ring(ideal.ideal, ctx) or ideal.f()
     bounds = kk._shifted_bounds(f, ctx)
     if bounds is None:
         return 0
@@ -288,14 +304,15 @@ COMMANDS: dict[str, Command] = {
         lambda s: (None, ["none"]) if s is None else (list(s), [format_monomial(s)]),
         oracle=lambda r, u, ctx: r == oracle.oracle_next_lex(u, ctx)),
     "lex-seg": Command(
-        "lex segment between two monomials", (START, END), construct.t_lex_seg, _monomial_list,
+        "lex segment between two monomials", (START, END), construct._lex_seg_walks, _monomial_list,
         # exact; endpoints of unequal degrees reach the kernel's own error
         size=lambda v, u, ctx:
             _lex_size(u, ctx) - _lex_size(v, ctx) + 1 if len(v) == len(u) else 0,
         oracle=lambda r, v, u, ctx:
             set(r) == {w for w in oracle.oracle_lex_set(u, ctx) if w >= v}),
     "lex-mon": Command(
-        "smallest lex set containing a monomial", (MONOMIAL,), construct.t_lex_mon, _monomial_list,
+        "smallest lex set containing a monomial", (MONOMIAL,), construct._lex_mon_walks,
+        _monomial_list,
         size=_lex_size,
         oracle=lambda r, u, ctx: set(r) == oracle.oracle_lex_set(u, ctx)),
     "count-lex": Command(
@@ -304,14 +321,14 @@ COMMANDS: dict[str, Command] = {
         oracle=lambda r, u, ctx: r == len(oracle.oracle_lex_set(u, ctx))),
     "ss-seg": Command(
         "strongly stable segment between two monomials", (START, END),
-        construct.t_ss_seg, _monomial_list,
+        construct._ss_seg_walks, _monomial_list,
         # exact; endpoints the kernel refuses raise its own error here
         size=lambda v, u, ctx: count._ss_seg_size(*construct._ss_seg_ends(v, u, ctx), ctx.t),
         oracle=lambda r, v, u, ctx:
             set(r) == {w for w in oracle.oracle_borel_set(u, ctx) if w >= v}),
     "ss-mon": Command(
         "smallest strongly stable set containing a monomial", (MONOMIAL,),
-        construct.t_ss_mon, _monomial_list, size=_set_size(count.count_t_ss_mon),
+        construct._ss_mon_walks, _monomial_list, size=_set_size(count.count_t_ss_mon),
         oracle=lambda r, u, ctx: set(r) == oracle.oracle_borel_set(u, ctx)),
     "count-ss": Command(
         "size of the smallest strongly stable set", (MONOMIAL,), count.count_t_ss_mon, _scalar,
@@ -326,7 +343,7 @@ COMMANDS: dict[str, Command] = {
         size=_closure_size),
     "veronese": Command(
         "all t-spread monomials of one degree", (_int("degree"),),
-        construct.t_veronese, _monomial_list, size=count.card_veronese,
+        construct._veronese_walks, _monomial_list, size=count.card_veronese,
         oracle=lambda r, d, ctx: r == oracle.enumerate_veronese(d, ctx)),
     "betti": Command(
         "Betti table of a strongly stable ideal", (IDEAL,), lambda ideal, ctx: graded_betti(ideal),
@@ -353,9 +370,10 @@ COMMANDS: dict[str, Command] = {
     "lex-ideal": Command(
         "lex ideal from a quotient vector (--f) or sharing an ideal's",
         (Arg("--f", _vector, {"metavar": "VECTOR", "help": "quotient counts, e.g. 1,8,21,10,0"}),
-         Arg("ideal", _ideal, IDEAL.options, unless="f")),
-        lambda f, ideal, ctx: (
-            kk.t_lex_ideal_of(ideal) if f is None else kk.t_lex_ideal_from_f(f, ctx)).gens,
+         Arg("ideal", lambda source, ctx, fail: _Counted(_ideal(source, ctx, fail)),
+             IDEAL.options, unless="f")),
+        lambda f, ideal, ctx:
+            kk._walks_from_f(f, ctx) if ideal is None else kk._walks_of_counts(ideal.f(), ctx),
         _monomial_list, size=_lex_ideal_size),
     "is-lex-ideal": Command(
         "whether every degree slice is an initial lex segment", (IDEAL,),
@@ -373,46 +391,119 @@ COMMON = (
 )
 
 
-def _build_parser(argv: Sequence[str]) -> tuple[argparse.ArgumentParser, dict]:
-    """The parser for ``argv``, every command by name, those named in it in
-    full, and the command parsers by name.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser of every command, and the command parsers by name.
 
-    Top-level usage, help and the unknown-command error need only each
-    command's name and help line, and the top level takes no option but
-    ``-h``, so the command argparse dispatches to is an element of ``argv``.
-    Declaring the other commands' arguments would only cost start-up time.
+    Built only for help, for the usage line of an input error and for an
+    argument list ``_parse`` leaves to it, so argparse is imported here.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tspread",
         description="construction and counting for t-spread monomials and ideals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = set(argv)
     for name, row in COMMANDS.items():
-        full = name in named
-        command = sub.add_parser(name, help=row.help, add_help=full)
-        for arg in (COMMON + row.args) if full else ():
+        command = sub.add_parser(name, help=row.help)
+        for arg in COMMON + row.args:
             command.add_argument(arg.name, **arg.options)
     return parser, sub.choices
 
 
+def _parse(argv: Sequence[str]) -> dict | None:
+    """``vars()`` of the namespace argparse makes of ``argv``, read from the
+    table alone, or None when ``argv`` lies outside the table's plain
+    grammar: a command first, then option names exactly as declared, each
+    value a token of its own, flags, and the positionals in one contiguous
+    run, every value of its declared type and choices.
+
+    Everything else is left to argparse, which stays the one authority on
+    help and errors: ``-h``, ``--``, ``--name=value``, abbreviations, a
+    value or positional that starts with ``-`` (but ``-`` itself), and any
+    argument list argparse would refuse.  Only the last positional of a
+    command takes more than one value, so the run is matched in order.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    declared = COMMON + COMMANDS[argv[0]].args
+    options = {arg.name: arg for arg in declared if arg.name[0] == "-"}
+    args: dict = {"command": argv[0]}
+    for arg in declared:
+        args[arg.dest] = arg.options.get("default", False if _is_flag(arg) else None)
+    run: list[str] = []
+    ended = False  # whether the run of positionals is over
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if token[:1] != "-" or token == "-":
+                if ended:
+                    return None
+                run.append(token)
+                continue
+            arg = options.get(token)
+            if arg is None:
+                return None
+            ended = bool(run)
+            if _is_flag(arg):
+                args[arg.dest] = True
+                continue
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and value != "-":
+                return None
+            args[arg.dest] = _typed(arg, value)
+        for arg in declared:
+            if arg.name[0] == "-":
+                continue
+            if arg.options.get("nargs") == "+":
+                if not run:
+                    return None
+                args[arg.dest], run = [_typed(arg, value) for value in run], []
+            elif run:
+                args[arg.dest] = _typed(arg, run.pop(0))
+            elif arg.options.get("nargs") != "?":
+                return None
+    except ValueError:
+        return None
+    return None if run else args
+
+
+def _is_flag(arg: Arg) -> bool:
+    return arg.options.get("action") == "store_true"
+
+
+def _typed(arg: Arg, value: str) -> object:
+    # a value as argparse takes it, converted by its type and checked
+    # against its choices; ValueError where argparse refuses it
+    kind = arg.options.get("type")
+    typed = value if kind is None else kind(value)
+    if typed not in arg.options.get("choices", (typed,)):
+        raise ValueError(value)
+    return typed
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser(argv)
-    args = parser.parse_args(argv)
-    row = COMMANDS[args.command]
-    # input errors past parsing show the usage of the command called
-    fail = commands[args.command].error
-    if row.ring and (args.n is None or args.t is None):
-        fail(f"{args.command} requires --n and --t")
+    args = _parse(argv)
+    if args is None:
+        args = vars(_build_parser()[0].parse_args(argv))
+    name = args["command"]
+    row = COMMANDS[name]
+
+    def fail(message: str) -> NoReturn:
+        # input errors past parsing show the usage of the command called
+        _build_parser()[1][name].error(message)
+
+    if row.ring and (args["n"] is None or args["t"] is None):
+        fail(f"{name} requires --n and --t")
     try:
-        ctx = Context(args.n, args.t) if row.ring else None
+        ctx = Context(args["n"], args["t"]) if row.ring else None
     except TSpreadError as exc:
         fail(str(exc))
     values = []
     for arg in row.args:
-        raw = getattr(args, arg.name.lstrip("-"))
-        if arg.unless is not None and getattr(args, arg.unless) is not None:
+        raw = args[arg.dest]
+        if arg.unless is not None and args[arg.unless] is not None:
             raw = None
         elif arg.convert is not None and raw is not None:
             raw = arg.convert(raw, ctx, fail)
@@ -447,11 +538,17 @@ def _write(out: str) -> None:
         write(out[start:start + 1024])
 
 
-def _answer(args: argparse.Namespace, row: Command, values: list, ctx: Context | None) -> int:
-    """Guard, kernel, render and print for converted values; the exit status."""
+def _answer(args: dict, row: Command, values: list, ctx: Context | None) -> int:
+    """Guard, kernel, render and print for converted values; the exit status.
+
+    A listing (``construct._Walks``) printed as text without ``--oracle``
+    goes to stdout straight from its walks, a block at a time, so memory
+    follows a block, not the output; otherwise it is built as tuples.
+    """
     agrees = None
+    blocks = None
     try:
-        if row.size is not None and not args.force:
+        if row.size is not None and not args["force"]:
             predicted = row.size(*values, ctx)
             if predicted > FORCE_LIMIT:
                 bits = predicted.bit_length()
@@ -463,16 +560,22 @@ def _answer(args: argparse.Namespace, row: Command, values: list, ctx: Context |
                 )
                 raise TSpreadError(f"output would hold {size} monomials; pass --force to build it")
         result = row.kernel(*values, ctx)
-        payload, lines = row.render(result)
-        if args.oracle and row.oracle is None:
-            print(f"oracle cross-check is not available for {args.command}", file=sys.stderr)
-        elif args.oracle:
-            agrees = row.oracle(result, *values, ctx)
+        if type(result) is construct._Walks:
+            if args["format"] == "text" and not args["oracle"]:
+                blocks = result.lines()
+            else:
+                result = result.members()
+        if blocks is None:
+            payload, lines = row.render(result)
+            if args["oracle"] and row.oracle is None:
+                print(f"oracle cross-check is not available for {args['command']}", file=sys.stderr)
+            elif args["oracle"]:
+                agrees = row.oracle(result, *values, ctx)
     except TSpreadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.format == "json":
+    if args["format"] == "json":
         import json  # here, not at the top: no other path needs it
 
         doc: dict = {"result": payload}
@@ -480,11 +583,13 @@ def _answer(args: argparse.Namespace, row: Command, values: list, ctx: Context |
             doc["oracle_agrees"] = agrees
         print(json.dumps(doc))
     else:
-        text = [*lines]
-        if agrees is not None:
-            text.append("oracle: agree" if agrees else "oracle: MISMATCH")
-        if text:
-            _write("\n".join(text) + "\n")
+        if blocks is None:
+            text = [*lines]
+            if agrees is not None:
+                text.append("oracle: agree" if agrees else "oracle: MISMATCH")
+            blocks = ["\n".join(text) + "\n"] if text else []
+        for block in blocks:
+            _write(block)
     if agrees is False:
         print("oracle cross-check failed", file=sys.stderr)
         return 1

@@ -21,10 +21,17 @@ cuts the members halfway along into heads and tails, lists the heads and
 one table of tails, shared by all heads, by the same walk, and joins each
 head to a slice of the table, so the tuples are made by C-level
 concatenation and the Python work is per head, not per monomial.  It
-recurses to depth O(log d) only, so at t = 1 the degree may reach n.  The
-smallest strongly stable set containing given monomials is built by
-``_fresh``, one greatest-caps walk per degree, not a union of Borel sets.
-A set may start at any slex rank: the unrank step finds the monomial of a
+recurses to depth O(log d) only, so at t = 1 the degree may reach n.  One
+walk has two consumers of that top split (``_split``): ``_walk`` joins each
+head to its slice as tuples, and ``_walk_lines`` makes the text of the same
+members, each head and each table entry formatted once by its degree's
+``%d`` template and a head's lines one join over its slice of the table's
+text, so a listing that is only printed builds no tuple per member.  The
+listings are described by their walks (``_Walks``: the lex and Borel sets
+and segments, the Veronese slice, the lex ideal's rank intervals) and
+built as either.  The smallest strongly stable set containing given
+monomials is built by ``_fresh``, one greatest-caps walk per degree, not
+a union of Borel sets.  A set may start at any slex rank: the unrank step finds the monomial of a
 given rank in O(d log n) binomials.  Public functions validate once; the
 kernels and shadows never again.  The set tests and set constructions
 take their members from one helper, ``_slices``, which validates them
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import chain, compress, filterfalse, groupby, islice, repeat
+from itertools import chain, compress, filterfalse, groupby, islice, repeat, starmap
 from math import comb
 from operator import add, ge, itemgetter, lt, ne, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -167,18 +174,33 @@ def _step(w: Monomial, n: int, t: int) -> Monomial | None:
 def _walk(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> list[Monomial]:
     # Every t-spread w with top <= w <= bottom (tuple order) and w <= caps
     # componentwise, ascending; top and bottom lie under caps, which is
-    # t-spread.  Past the prefix c that top and bottom share, split at q,
-    # halfway to the degree.  The heads, the length-q prefixes of these w,
-    # are such a walk themselves, and every head completes, as caps is
-    # t-spread.  The tails of the first and middle heads are suffixes of one
-    # table, the walk of tails from the least start, low, found by
-    # bisection; those of the last head are a slice of it, or its own walk
-    # when it starts below low.  The head whose tails start at low takes the
-    # whole table, so the table is never longer than the result.
+    # t-spread.  The members of the top split's blocks, in order, or, with
+    # no split, the last index run from top's to bottom's.
+    blocks = _split(top, bottom, caps, t)
+    if blocks is None:
+        return list(map(top[:-1].__add__, zip(range(top[-1], bottom[-1] + 1)))) if top else [top]
+    return list(chain.from_iterable(
+        map(head.__add__, tails[lo:hi]) for head, tails, lo, hi in blocks))
+
+
+def _split(
+    top: Monomial, bottom: Monomial, caps: Monomial, t: int
+) -> list[tuple[Monomial, list[Monomial], int, int]] | None:
+    # The top split of _walk(top, bottom, caps, t): one block (head, tails,
+    # lo, hi) per head, in order, whose members are head + each of
+    # tails[lo:hi]; None when top and bottom differ in the last index at
+    # most.  Past the prefix c that top and bottom share, split at q,
+    # halfway to the degree.  The heads, the length-q prefixes of the
+    # members, are such a walk themselves, and every head completes, as
+    # caps is t-spread.  The tails of the first and middle heads are
+    # suffixes of one table, the walk of tails from the least start, low,
+    # found by bisection; those of the last head are a slice of it, or its
+    # own walk when it starts below low.  The head whose tails start at low
+    # takes the whole table, so the table is never longer than the result.
     d = len(top)
     c = next((q for q, (a, b) in enumerate(zip(top, bottom)) if a != b), d)
     if c >= d - 1:
-        return list(map(top[:c].__add__, zip(range(top[c], bottom[c] + 1)))) if c < d else [top]
+        return None
     q = (c + d) // 2
     first, *mid, last = _walk(top[:q], bottom[:q], caps[:q], t)
     rest = caps[q:]
@@ -187,15 +209,64 @@ def _walk(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> list[Monom
         low = min(low, _packed(min(map(itemgetter(-1), mid)) + t, d - q, t))
     table = _walk(low, rest, rest, t)
     firsts = list(map(itemgetter(0), table))
-    out = list(map(first.__add__, table[bisect_left(table, top[q:]):]))
-    out += chain.from_iterable(map(p.__add__, table[bisect_left(firsts, p[-1] + t):]) for p in mid)
+    end = len(table)
+    blocks = [(first, table, bisect_left(table, top[q:]), end)]
+    blocks += [(p, table, bisect_left(firsts, p[-1] + t), end) for p in mid]
     start = _packed(last[-1] + t, d - q, t)
     if start >= low:
-        tails = table[bisect_left(firsts, start[0]):bisect_right(table, bottom[q:])]
+        blocks.append((last, table, bisect_left(firsts, start[0]), bisect_right(table, bottom[q:])))
     else:
         tails = _walk(start, bottom[q:], rest, t)
-    out += map(last.__add__, tails)
-    return out
+        blocks.append((last, tails, 0, len(tails)))
+    return blocks
+
+
+class _Templates(dict):
+    # the line template of each degree, made on first use: "%d,%d,%d" for
+    # degree 3 and "1" for degree 0; one per degree seen
+    def __missing__(self, d: int) -> str:
+        fmt = self[d] = ",".join(["%d"] * d) or "1"
+        return fmt
+
+
+_TEMPLATES = _Templates()
+
+
+def _walk_lines(top: Monomial, bottom: Monomial, caps: Monomial, t: int) -> Iterator[str]:
+    # The text of _walk(top, bottom, caps, t), a line per member (its
+    # degree's template, then a newline), one string per block of the top
+    # split: each head and each table entry is formatted once, and a head's
+    # lines are one join over its slice of the table's text.  A walk with no
+    # split, degree 0 among them, is formatted member by member.
+    blocks = _split(top, bottom, caps, t)
+    if blocks is None:
+        yield "".join(map((_TEMPLATES[len(top)] + "\n").__mod__, _walk(top, bottom, caps, t)))
+        return
+    q = len(blocks[0][0])
+    head_fmt, tail_fmt = _TEMPLATES[q] + ",", _TEMPLATES[len(top) - q]
+    shown: list[Monomial] | None = None
+    for head, tails, lo, hi in blocks:
+        if tails is not shown:  # the table, then perhaps the last head's own walk
+            shown, texts = tails, list(map(tail_fmt.__mod__, tails))
+        prefix = head_fmt % head
+        yield prefix + ("\n" + prefix).join(texts[lo:hi]) + "\n"
+
+
+class _Walks(list):
+    """A listing as the walks that make it: ``_walk`` argument tuples (top,
+    bottom, caps, t) whose members follow one another.  Nothing is walked
+    until the listing is asked for, as tuples (``members``) or as text
+    (``lines``), both from the same splits."""
+
+    __slots__ = ()
+
+    def members(self) -> list[Monomial]:
+        if len(self) == 1:
+            return _walk(*self[0])
+        return list(chain.from_iterable(starmap(_walk, self)))
+
+    def lines(self) -> Iterator[str]:
+        return chain.from_iterable(starmap(_walk_lines, self))
 
 
 def _packed(start: int, k: int, t: int) -> Monomial:
@@ -203,9 +274,11 @@ def _packed(start: int, k: int, t: int) -> Monomial:
     return tuple(range(start, start + k * t, t))
 
 
-def _lex_list(top: Monomial, bottom: Monomial, ctx: Context) -> list[Monomial]:
-    # the slex interval from top down to bottom, ascending as tuples: the lex lists
-    return _walk(top, bottom, min_mon(len(top), ctx), ctx.t)
+def _lex_span(
+    top: Monomial, bottom: Monomial, ctx: Context
+) -> tuple[Monomial, Monomial, Monomial, int]:
+    # the walk of the slex interval from top down to bottom, ascending as tuples
+    return top, bottom, min_mon(len(top), ctx), ctx.t
 
 
 def _unrank(r: int, d: int, ctx: Context) -> Monomial:
@@ -249,9 +322,13 @@ def iter_veronese(d: int, ctx: Context) -> Iterator[Monomial]:
 
 def t_veronese(d: int, ctx: Context) -> list[Monomial]:
     """The full degree-d slice of t-spread monomials, descending in slex."""
+    return _veronese_walks(d, ctx).members()
+
+
+def _veronese_walks(d: int, ctx: Context) -> _Walks:
     if d and 1 + (d - 1) * ctx.t > ctx.n:
-        return []
-    return _lex_list(max_mon(d, ctx), min_mon(d, ctx), ctx)
+        return _Walks()
+    return _Walks([_lex_span(max_mon(d, ctx), min_mon(d, ctx), ctx)])
 
 
 def t_veronese_ideal(d: int, ctx: Context) -> MonomialIdeal:
@@ -263,19 +340,27 @@ def t_veronese_ideal(d: int, ctx: Context) -> MonomialIdeal:
 def t_lex_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]:
     """All monomials between ``v`` and ``u`` inclusive in the slex order.
 
-    Listed by the lex list kernel, which builds nothing outside the segment.
+    Listed by the split walk, which builds nothing outside the segment.
     """
+    return _lex_seg_walks(v, u, ctx).members()
+
+
+def _lex_seg_walks(v: Sequence[int], u: Sequence[int], ctx: Context) -> _Walks:
     top = require_t_spread(v, ctx)
     bottom = require_t_spread(u, ctx)
     if cmp_slex(top, bottom) < 0:
         raise TSpreadError("segment start lies below its end in the slex order")
-    return _lex_list(top, bottom, ctx)
+    return _Walks([_lex_span(top, bottom, ctx)])
 
 
 def t_lex_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
     """The smallest lex set containing ``u``: everything slex-above it."""
+    return _lex_mon_walks(u, ctx).members()
+
+
+def _lex_mon_walks(u: Sequence[int], ctx: Context) -> _Walks:
     m = require_t_spread(u, ctx)
-    return _lex_list(max_mon(len(m), ctx), m, ctx)
+    return _Walks([_lex_span(max_mon(len(m), ctx), m, ctx)])
 
 
 def _slices(
@@ -338,8 +423,12 @@ def t_ss_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]
     produced in strictly descending slex order.  ``v`` must itself lie
     Borel-above ``u``.
     """
+    return _ss_seg_walks(v, u, ctx).members()
+
+
+def _ss_seg_walks(v: Sequence[int], u: Sequence[int], ctx: Context) -> _Walks:
     top, bottom = _ss_seg_ends(v, u, ctx)
-    return _walk(top, bottom, bottom, ctx.t)
+    return _Walks([(top, bottom, bottom, ctx.t)])
 
 
 def _ss_seg_ends(v: Sequence[int], u: Sequence[int], ctx: Context) -> tuple[Monomial, Monomial]:
@@ -362,8 +451,12 @@ def t_ss_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
     Equals the set of all monomials Borel-above ``u``; the slex-greatest
     monomial of the degree is always its first element.
     """
+    return _ss_mon_walks(u, ctx).members()
+
+
+def _ss_mon_walks(u: Sequence[int], ctx: Context) -> _Walks:
     m = require_t_spread(u, ctx)
-    return _walk(max_mon(len(m), ctx), m, m, ctx.t)
+    return _Walks([(max_mon(len(m), ctx), m, m, ctx.t)])
 
 
 def t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> list[Monomial]:

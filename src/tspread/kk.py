@@ -73,9 +73,10 @@ from .core import (
 )
 from .construct import (
     _ek_members,
-    _lex_list,
+    _lex_span,
     _shapes,
     _unrank,
+    _Walks,
     is_t_ss_ideal,
 )
 from .count import BinomialTerm, binomial, card_veronese
@@ -231,16 +232,20 @@ def _rank_intervals(
             yield j, 0 if j == 1 else full - bounds[j - 2], full - x
 
 
-def _lex_ideal(f: list[int], bounds: list[int], ctx: Context) -> MonomialIdeal:
-    # the lex ideal of an ft-vector f with its shifted bounds
-    gens: list[Monomial] = []
+def _lex_walks(f: list[int], bounds: list[int], ctx: Context) -> _Walks:
+    # the generators of the lex ideal of an ft-vector f with its shifted
+    # bounds, as the walks of its rank intervals, one per degree
+    walks = _Walks()
     for j, shadow, size in _rank_intervals(f, bounds, ctx):
         if shadow < size:
-            first, last = _unrank(shadow, j, ctx), _unrank(size - 1, j, ctx)
-            gens += _lex_list(first, last, ctx)
+            walks.append(_lex_span(_unrank(shadow, j, ctx), _unrank(size - 1, j, ctx), ctx))
+    return walks
+
+
+def _lex_ideal(walks: _Walks, ctx: Context) -> MonomialIdeal:
     # minimal: a t-spread multiple of an earlier generator is in the shadow;
     # strongly stable, as each slice is an initial slex segment
-    return MonomialIdeal._of_minimal(ctx, tuple(gens), stable=True)
+    return MonomialIdeal._of_minimal(ctx, tuple(walks.members()), stable=True)
 
 
 def t_lex_ideal_from_f(f: Sequence[int], ctx: Context) -> MonomialIdeal:
@@ -251,11 +256,16 @@ def t_lex_ideal_from_f(f: Sequence[int], ctx: Context) -> MonomialIdeal:
     f_j monomials outside; its generators are the members past the previous
     degree's shadow, a rank interval walked without building the segment.
     """
+    return _lex_ideal(_walks_from_f(f, ctx), ctx)
+
+
+def _walks_from_f(f: Sequence[int], ctx: Context) -> _Walks:
+    # the lex ideal's walks for a given sequence f, refused unless admissible
     fv = [int(x) for x in f]
     bounds = _shifted_bounds(fv, ctx)
     if bounds is None:
         raise InvalidFtVectorError("expected a valid ft-vector")
-    return _lex_ideal(fv, bounds, ctx)
+    return _lex_walks(fv, bounds, ctx)
 
 
 def t_lex_ideal_of(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -264,10 +274,14 @@ def t_lex_ideal_of(ideal: MonomialIdeal) -> MonomialIdeal:
     Raises InvalidFtVectorError, naming the counts, when no lex ideal has
     them; only an ideal that is not strongly stable can have such counts.
     """
-    f = ft_vector(ideal)
-    bounds = _shifted_bounds(f, ideal.ctx)
+    return _lex_ideal(_walks_of_counts(ft_vector(ideal), ideal.ctx), ideal.ctx)
+
+
+def _walks_of_counts(f: list[int], ctx: Context) -> _Walks:
+    # the lex ideal's walks for an ideal's quotient counts f
+    bounds = _shifted_bounds(f, ctx)
     if bounds is None:
         raise InvalidFtVectorError(
             f"the ideal's quotient counts {f} break the growth bound: no lex ideal has them"
         )
-    return _lex_ideal(f, bounds, ideal.ctx)
+    return _lex_walks(f, bounds, ctx)

@@ -617,7 +617,7 @@ def guarded_calls(rng, ctx):
         cut = f[:rng.randint(1, len(f))]
         calls += [
             ("lex-ideal", [], "".join(format_monomial(g) + "\n" for g in ideal.gens),
-             (None, ideal)),
+             (None, cli._Counted(ideal))),
             ("lex-ideal", ["--f", ",".join(map(str, f))], "", (f, None)),
             ("lex-ideal", ["--f", ",".join(map(str, cut))], "", (cut, None)),
         ]
@@ -642,7 +642,7 @@ def test_lex_ideal_guard_counts_the_closure(capsys, monkeypatch, closure_40):
     # the n = 40, t = 2 closure's lex ideal: 1 221 531 generators, predicted
     # from the closure's ft-vector and listed under --force
     closed, _ = closure_40
-    assert _lex_ideal_size(None, closed, closed.ctx) == 1221531
+    assert _lex_ideal_size(None, cli._Counted(closed), closed.ctx) == 1221531
     lines = "".join(format_monomial(g) + "\n" for g in closed.gens)
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     assert run(capsys, "lex-ideal", "--n", "40", "--t", "2") == (
@@ -650,6 +650,33 @@ def test_lex_ideal_guard_counts_the_closure(capsys, monkeypatch, closure_40):
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     code, out, err = run(capsys, "lex-ideal", "--n", "40", "--t", "2", "--force")
     assert (code, out.count("\n"), err) == (0, 1221531, "")
+
+
+@pytest.mark.parametrize(
+    "n, t, gens",
+    [
+        (8, 2, KK_IDEAL_GENS),  # strongly stable: counted from its shapes
+        (8, 1, ((1, 3), (2, 5))),  # not: the pivot recursion
+        (9, 2, ((5,),)),  # counts no lex ideal has: the growth-bound refusal
+    ],
+    ids=["stable", "pivot", "growth-bound"],
+)
+def test_lex_ideal_counts_the_ideal_once(capsys, monkeypatch, n, t, gens):
+    # the guard's ft-vector is the one the kernel reads: one count per call,
+    # guarded or forced, and the output of the library's lex ideal
+    ideal = MonomialIdeal(Context(n, t), gens)
+    try:
+        want = (0, "".join(format_monomial(g) + "\n" for g in kk.t_lex_ideal_of(ideal).gens), "")
+    except core.InvalidFtVectorError as exc:
+        want = (1, "", f"error: {exc}\n")
+    counted = []
+    ft_vector = kk.ft_vector
+    monkeypatch.setattr(kk, "ft_vector", lambda ideal: counted.append(ideal) or ft_vector(ideal))
+    for force in ((), ("--force",)):
+        counted.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(text_of(g) + "\n" for g in gens)))
+        assert run(capsys, "lex-ideal", "--n", str(n), "--t", str(t), *force) == want
+        assert len(counted) == 1, force
 
 
 # The ideal reader's paths, stdin to exit code, stdout and stderr byte for
@@ -700,6 +727,16 @@ def joined(m):
 
 def reference_list(monomials):
     return monomials, map(joined, monomials)
+
+
+def tuple_kernel(kernel):
+    """``kernel`` with a listing it returns built as tuples, so that the
+    result takes the renderer, as every listing did before the text walk."""
+    def built(*args):
+        result = kernel(*args)
+        return result.members() if type(result) is construct._Walks else result
+
+    return built
 
 
 LISTING = sorted(
@@ -768,6 +805,7 @@ def test_line_templates_render_as_joined_indices(capsys, monkeypatch, name):
         with monkeypatch.context() as patch:
             patch.setattr("sys.stdin", io.StringIO(stdin))
             if reference:
+                patch.setattr(row, "kernel", tuple_kernel(row.kernel))
                 if row.render is cli._monomial_list:
                     patch.setattr(row, "render", reference_list)
                 patch.setattr(cli, "_monomial_list", reference_list)  # as _realized calls it
@@ -788,6 +826,40 @@ def test_line_templates_render_as_joined_indices(capsys, monkeypatch, name):
     if name in ("sieve", "shadow", "ss-ideal", "lex-ideal", "realize-betti"):
         assert any(len({line.count(",") for line in lines if line[0].isdigit()}) > 1
                    for _, lines in outputs)
+
+
+# the listings printed straight from the split walk (construct._Walks)
+WALKED = ["lex-ideal", "lex-mon", "lex-seg", "ss-mon", "ss-seg", "veronese"]
+MODES = [(), ("--oracle",), ("--force",), ("--format", "json"), ("--format", "json", "--oracle"),
+         ("--oracle", "--force")]
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_listings_match_the_tuple_path_in_every_mode(capsys, monkeypatch, name):
+    # A seeded differential: each listing command's exit status, stdout and
+    # stderr against the same call with the listing built as tuples and
+    # rendered line by line, in text and JSON, with and without --oracle
+    # and --force.  Text without --oracle comes straight from the walk.
+    rng = random.Random(f"walked-{name}")
+    row = COMMANDS[name]
+    seen = set()
+    for k in range(RENDER_CASES):
+        argv, stdin = listing_invocation(rng, name)
+        argv += MODES[k % len(MODES)]
+        got = {}
+        for reference in (False, True):
+            with monkeypatch.context() as patch:
+                patch.setattr("sys.stdin", io.StringIO(stdin))
+                if reference:
+                    patch.setattr(row, "kernel", tuple_kernel(row.kernel))
+                    patch.setattr(row, "render", reference_list)
+                got[reference] = run(capsys, *argv)
+        assert got[False] == got[True], (argv, stdin)
+        assert got[False][0] == 0, (argv, got[False])
+        seen.add((argv[4] == "1", "" in argv or argv[5:6] == ["0"]))
+    assert {t1 for t1, _ in seen} == {True, False}  # t = 1 and t >= 2
+    if name != "lex-ideal":
+        assert {unit for _, unit in seen} == {True, False}  # degree 0 and up
 
 
 # Fuzzing the exit-code contract: whatever the input, ``main`` returns 0 or 1
@@ -874,9 +946,12 @@ def parse_outcome(parse, argv):
 
 
 def assert_same_parse(argv):
-    """Declaring only the arguments of the commands ``argv`` names changes nothing."""
-    full = parse_outcome(_build_parser(list(COMMANDS))[0].parse_args, argv)
-    assert parse_outcome(_build_parser(argv)[0].parse_args, argv) == full, argv
+    """The table parse reads ``argv`` exactly as argparse does, or leaves it
+    to argparse; returns whether it read it."""
+    table = cli._parse(list(argv))
+    if table is not None:
+        assert parse_outcome(_build_parser()[0].parse_args, argv) == (table, "", ""), argv
+    return table is not None
 
 
 # Arguments no command takes, or a second value where one is taken, and help.
@@ -905,10 +980,56 @@ def test_parse_outside_one_command(argv):
     assert_same_parse(argv)
 
 
+PLAIN_CALLS = [
+    *(argv for argv, *_ in TRANSCRIPTS),
+    *(argv for argv, *_ in IDEAL_TRANSCRIPTS),
+    *([name, "--n", "3", "--t", "1", *monomials] for (name, *monomials), *_ in UNIT_LISTINGS),
+    ["count-ss", "2,5,8,11", "--t", "2", "--n", "13", "--n", "13"],
+    ["ss-ideal", "--n", "8", "-", "--t", "2", "--format", "json", "--format", "text"],
+    ["lex-ideal", "--n", "8", "--t", "2", "--f", "1,8,21,10,0", "--force", "--oracle"],
+    ["macaulay", "--solve", "--n", "12", "--t", "1", "50", "2", "--shift", "--shift"],
+    ["cq", "+6", " 4", "2_0"],
+    ["check", "--n", "9", "--t", "2", "1,3", "sieve"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", PLAIN_CALLS, ids=[f"{argv[0]}-{k}" for k, argv in enumerate(PLAIN_CALLS)])
+def test_table_parse_reads_plain_calls(argv):
+    # the calls in the plain grammar never reach argparse, and read the same
+    assert assert_same_parse(argv), argv
+
+
+# Calls in the plain form that argparse refuses: each is left to it.
+REFUSED_CALLS = [
+    ["count-ss", "--n", "13", "--t", "2", "2,5", "--format", "xml"],
+    ["count-ss", "--n", "x", "--n", "13", "--t", "2", "2,5"],
+    ["count-ss", "--format", "xml", "--format", "json", "--n", "13", "--t", "2", "2,5"],
+    ["count-ss", "2,5", "--n"],
+    ["count-ss", "--n", "9", "--t", "2", "1,3", "2,4"],
+    ["count-ss", "--n", "9", "--t", "2"],
+    ["check", "1,3", "--n", "9", "--t", "2", "2,4"],
+    ["lex-seg", "--n", "9", "--t", "2", "1,3"],
+    ["ss-ideal", "--n", "9", "--t", "2", "a.txt", "b.txt"],
+    ["cq", "6", "x"],
+    ["cq"],
+    ["veronese", "--n", "9", "--t", "2", "2.5"],
+    ["macaulay", "--n", "12", "--t", "1", "50", "2", "--shift", "3"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", REFUSED_CALLS, ids=[f"{argv[0]}-{k}" for k, argv in enumerate(REFUSED_CALLS)])
+def test_table_parse_leaves_refusals_to_argparse(argv):
+    assert cli._parse(argv) is None
+    status, out, err = parse_outcome(_build_parser()[0].parse_args, argv)
+    assert (status, out) == (2, "") and "error:" in err
+
+
 def command_error(name, message):
     """The stderr of an exit-2 input error of command ``name``: its own usage,
     every argument declared, and the message under its own prog."""
-    usage = _build_parser([name])[1][name].format_usage()
+    usage = _build_parser()[1][name].format_usage()
     return f"{usage}tspread {name}: error: {message}\n"
 
 
@@ -934,10 +1055,13 @@ def test_exit_code_contract_past_the_digit_limit():
     assert_exit_contract(HUGE_COUNT, "")
 
 
-# Import budget: what a ``tspread`` process loads before it parses anything.
-# ``-S`` keeps ``site`` (and whatever its ``.pth`` files import) out, so the
-# modules counted are the package's own doing.
+# Import budget: what a ``tspread`` process loads before it parses anything,
+# and what a call that succeeds loads besides.  ``-S`` keeps ``site`` (and
+# whatever its ``.pth`` files import) out, so the modules counted are the
+# package's own doing.  argparse (with gettext and the locale module its
+# first message loads) is for help and errors only.
 HEAVY_MODULES = ("dataclasses", "inspect", "json")
+PARSER_MODULES = ("argparse", "gettext", "locale")
 
 
 def python_without_site(code):
@@ -956,6 +1080,26 @@ def test_import_leaves_heavy_modules_out(module):
     assert python_without_site(code) == "\n"
 
 
+def test_success_loads_no_parser_modules():
+    code = (
+        "import sys; from tspread.cli import main; "
+        "status = main(['count-ss', '--n', '13', '--t', '2', '2,5,8,11']); "
+        f"print(status, ','.join(m for m in {HEAVY_MODULES + PARSER_MODULES} if m in sys.modules))"
+    )
+    assert python_without_site(code) == "42\n0 \n"
+
+
+def test_usage_error_loads_the_parser():
+    # the check that the budget test can fail: an input error prints usage
+    code = (
+        "import sys; from tspread.cli import main\n"
+        "try:\n    main(['count-ss', '2,5,8,11'])\n"
+        "except SystemExit as exc:\n"
+        f"    print(exc.code, all(m in sys.modules for m in {PARSER_MODULES[:2]}))"
+    )
+    assert python_without_site(code) == "2 True\n"
+
+
 def test_json_output_in_a_fresh_process():
     code = (
         "from tspread.cli import main; "
@@ -964,14 +1108,49 @@ def test_json_output_in_a_fresh_process():
     assert python_without_site(code) == '{"result": 14, "oracle_agrees": true}\n'
 
 
-def test_reader_leaving_early_ends_the_run_quietly():
-    # ``tspread veronese --n 30 --t 2 5 | head -1``: 26 334 lines, far more
-    # than a pipe buffers, so the writer meets the closed pipe
+def reader_leaves_early(*args):
+    """The exit status and stderr of ``tspread ARGS | head -1``, and the line read."""
     root = str(Path(tspread.__file__).resolve().parent.parent)
-    argv = [sys.executable, "-m", "tspread.cli", "veronese", "--n", "30", "--t", "2", "5"]
+    argv = [sys.executable, "-m", "tspread.cli", *args]
     env = {**os.environ, "PYTHONPATH": root}
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline() == b"1,3,5,7,9\n"
+        line = proc.stdout.readline()
         proc.stdout.close()
-        assert proc.wait(timeout=60) == 1
-        assert proc.stderr.read() == b""
+        return proc.wait(timeout=60), proc.stderr.read(), line
+
+
+def test_reader_leaving_early_ends_the_run_quietly():
+    # ``tspread veronese --n 30 --t 2 5 | head -1``: 65 780 lines, far more
+    # than a pipe buffers, so the writer meets the closed pipe while it
+    # writes the text walk's blocks
+    assert reader_leaves_early("veronese", "--n", "30", "--t", "2", "5") == (1, b"", b"1,3,5,7,9\n")
+
+
+def test_reader_leaving_an_ss_listing_ends_the_run_quietly():
+    # the same for a Borel set: 119 462 lines, a head's block at a time
+    assert reader_leaves_early("ss-mon", "--n", "40", "--t", "2", "8,15,22,30,37") == (
+        1, b"", b"1,3,5,7,9\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
+def test_forced_listing_streams_in_bounded_memory():
+    # 1 702 840 lines (about 27 MB of text) to /dev/null in a fresh process:
+    # memory follows the walk's table and one head's block, not the output.
+    # Building the tuples and the whole text first peaked at 361 MB.  The
+    # peak is the process's own VmHWM: its ru_maxrss would also count the
+    # peak of the test process that spawned it, which Linux carries across exec.
+    code = (
+        "import sys; from tspread.cli import main; "
+        "status = main(['ss-mon', '--n', '40', '--t', '1', '5,16,24,30,36,40', '--force']); "
+        "sys.stdout.flush(); "
+        "peak = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0]; "
+        "print(status, peak.split()[1], file=sys.stderr)"
+    )
+    root = str(Path(tspread.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": root}
+    with open(os.devnull, "w") as sink:
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, stdout=sink,
+                              stderr=subprocess.PIPE, text=True, check=True, timeout=120)
+    status, kilobytes = map(int, proc.stderr.split())
+    assert status == 0
+    assert kilobytes < 64 * 1024, kilobytes  # VmHWM is in kB

@@ -21,7 +21,7 @@ from conftest import (
     spread_ideals,
     spread_monomials,
 )
-from tspread import construct
+from tspread import construct, kk
 from tspread.core import (
     BorelIncomparableError,
     Context,
@@ -380,6 +380,61 @@ def test_level_builder_matches_successor_walk_hypothesis(case, data):
     # a Borel segment B_t[x, w] from one of its own members
     x = data.draw(st.sampled_from(borel))
     assert walk(x, w, w, t) == stepped(x, w, w, t) == [y for y in borel if y >= x]
+
+
+def joined_lines(monomials):
+    # one line per member, its indices joined by commas; "1" for the unit
+    return "".join((",".join(map(str, m)) or "1") + "\n" for m in monomials)
+
+
+@pytest.mark.parametrize("n,t", [(n, t) for n, t in GRID if n <= 8])
+def test_text_walk_matches_the_tuple_walk(n, t):
+    # the text twin of every lex and Borel walk of the ring, against the
+    # tuples of the same walk joined line by line; one block per head (the
+    # hypothesis twin below reaches n = 60)
+    ctx = Context(n, t)
+    for d in range(ctx.max_degree() + 1):
+        chain = enumerate_veronese(d, ctx)
+        low = min_mon(d, ctx)
+        for j, u in enumerate(chain):
+            for v in chain[: j + 1]:
+                for caps in (low, u) if borel_geq(v, u) else (low,):
+                    walk = construct._walk(v, u, caps, t)
+                    blocks = list(construct._walk_lines(v, u, caps, t))
+                    assert "".join(blocks) == joined_lines(walk), (v, u, caps)
+                    split = construct._split(v, u, caps, t)
+                    assert len(blocks) == (1 if split is None else len(split))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=walk_cases())
+def test_text_walk_matches_the_tuple_walk_hypothesis(case):
+    ctx, v, u, w = case
+    t = ctx.t
+    low, top = min_mon(len(u), ctx), max_mon(len(w), ctx)
+    for span in ((v, u, low, t), (top, w, w, t)):
+        assert "".join(construct._walk_lines(*span)) == joined_lines(construct._walk(*span))
+
+
+def test_listings_are_their_walks():
+    # each public listing is its walks built as tuples, and their text is
+    # the same members line by line, the lex ideal's rank intervals included
+    ctx = Context(30, 2)
+    u, v = (3, 9, 14, 20, 27), (1, 4, 9, 14, 20)
+    f = [1, 30, 400, 2200, 0]
+    cases = [
+        (t_lex_mon(u, ctx), construct._lex_mon_walks(u, ctx)),
+        (t_ss_mon(u, ctx), construct._ss_mon_walks(u, ctx)),
+        (t_lex_seg(v, u, ctx), construct._lex_seg_walks(v, u, ctx)),
+        (t_ss_seg(v, u, ctx), construct._ss_seg_walks(v, u, ctx)),
+        (t_veronese(4, ctx), construct._veronese_walks(4, ctx)),
+        ([], construct._veronese_walks(16, ctx)),
+        (list(kk.t_lex_ideal_from_f(f, ctx).gens), kk._walks_from_f(f, ctx)),
+    ]
+    for listing, walks in cases:
+        assert walks.members() == listing
+        assert "".join(walks.lines()) == joined_lines(listing)
+    assert len(cases[-1][1]) > 1  # several degrees
 
 
 def test_level_builder_reaches_large_indices():
