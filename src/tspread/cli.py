@@ -12,6 +12,12 @@ both driven by that table alone.  ``main`` reads an argument list in the
 table's plain grammar itself (``_parse``); argparse is imported only for
 help, for the usage line of an input error and for anything else.
 
+``--force`` lifts the size guards, which refuse output past ``FORCE_LIMIT``
+monomials.  A listing (``construct._Walks``) is guarded by its walks' own
+closed-form size, ``ss-ideal`` and ``shadow`` by upper bounds,
+``realize-betti`` by a sure lower bound, and a command that only counts by
+the digits of its count vector (``_ring``).
+
 Exit status: 0 on success, 1 on domain errors (with the library's message on
 stderr), 2 on usage errors.
 """
@@ -195,13 +201,14 @@ def _expansion(result: int | list[tuple[int, int]]) -> Rendered:
     return [list(t) for t in result], ["{" + ", ".join("{%d,%d}" % t for t in result) + "}"]
 
 
-def _set_size(counter: Callable[[Monomial, Context], int]) -> Callable[[Monomial, Context], int]:
-    # the size of the smallest lex or strongly stable set containing u: the
-    # counts take degree 1 on, and the unit monomial's set is {1}
-    return lambda u, ctx: counter(u, ctx) if u else 1
-
-
-_lex_size = _set_size(count.count_t_lex_mon)
+def _refuse_past_limit(size: int) -> None:
+    # a guard's refusal of more than FORCE_LIMIT monomials; past 10^4 bits
+    # (about 3010 digits) a power of ten below the size names it, as
+    # 0.30102 < log10(2)
+    if size > FORCE_LIMIT:
+        bits = size.bit_length()
+        named = str(size) if bits <= 10**4 else f"at least 10^{(bits - 1) * 30102 // 10**5}"
+        raise TSpreadError(f"output would hold {named} monomials; pass --force to build it")
 
 
 def _ring(ideal: MonomialIdeal, ctx: Context) -> int:
@@ -230,32 +237,16 @@ def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:
     return sum(count._ss_size(g, ctx.t) for g in ideal.gens)
 
 
-class _Counted:
-    """An ideal read by ``lex-ideal``, whose quotient counts are counted at
-    most once in the call: by the guard, when it runs, and the kernel reads
-    the same vector.  Nothing outlives the call."""
-
-    __slots__ = ("ideal", "_f")
-
-    def __init__(self, ideal: MonomialIdeal) -> None:
-        self.ideal = ideal
-        self._f: list[int] | None = None
-
-    def f(self) -> list[int]:
-        if self._f is None:
-            self._f = kk.ft_vector(self.ideal)
-        return self._f
-
-
-def _lex_ideal_size(f: list[int] | None, ideal: _Counted | None, ctx: Context) -> int:
-    # an admissible f, given or the ideal's own, emits the generators of one
-    # rank interval per degree
-    if f is None:
-        f = _ring(ideal.ideal, ctx) or ideal.f()
-    bounds = kk._shifted_bounds(f, ctx)
-    if bounds is None:
-        return 0
-    return sum(max(0, s - h) for _, h, s in kk._rank_intervals(f, bounds, ctx))
+def _shadow_size(ms: list[Monomial], ctx: Context) -> int:
+    # an upper bound on the shadow set: the distinct members' own shadows,
+    # b - a - 2t + 1 new indices in each gap (a, b) of (1 - t, *u, n + t)
+    # (construct.t_shadow), those of degree d at most the whole degree-(d+1)
+    # slice; a member the kernel refuses raises its error here
+    w, sizes = 2 * ctx.t - 1, {}
+    for u in set(ms):
+        e = (1 - ctx.t, *core.require_t_spread(u, ctx), ctx.n + ctx.t)
+        sizes[len(u)] = sizes.get(len(u), 0) + sum(max(0, b - a - w) for a, b in zip(e, e[1:]))
+    return sum(min(size, count.card_veronese(d + 1, ctx)) for d, size in sizes.items())
 
 
 def _silent(*_: object) -> None:
@@ -273,7 +264,10 @@ class Command:
         args: tuple[Arg, ...],
         kernel: Callable[..., object],  # (*values, ctx) -> result
         render: Callable[[object], Rendered],  # result -> (payload, lines)
-        size: Callable[..., int] | None = None,  # (*values, ctx) -> lines printed, or 0
+        # (*values, ctx) -> monomials printed, a bound on them, or 0: the guard
+        # before the kernel; a listing (construct._Walks) is guarded after it
+        # by its own size
+        size: Callable[..., int] | None = None,
         # (result, *values, ctx) -> agreement, or None for no verdict; a
         # command without one reports the cross-check as not available
         oracle: Callable[..., bool | None] | None = None,
@@ -298,23 +292,18 @@ COMMANDS: dict[str, Command] = {
         oracle=_silent),
     "shadow": Command(
         "t-shadow of the given monomials", (MONOMIALS,), construct.t_shadow_set, _monomial_list,
-        oracle=lambda r, ms, ctx: set(r) == oracle.oracle_shadow(ms, ctx)),
+        size=_shadow_size, oracle=lambda r, ms, ctx: set(r) == oracle.oracle_shadow(ms, ctx)),
     "next-lex": Command(
         "slex successor of a monomial, or 'none'", (MONOMIAL,), construct.t_next_lex,
         lambda s: (None, ["none"]) if s is None else (list(s), [format_monomial(s)]),
         oracle=lambda r, u, ctx: r == oracle.oracle_next_lex(u, ctx)),
     "lex-seg": Command(
         "lex segment between two monomials", (START, END), construct._lex_seg_walks, _monomial_list,
-        # exact; endpoints of unequal degrees reach the kernel's own error
-        size=lambda v, u, ctx:
-            _lex_size(u, ctx) - _lex_size(v, ctx) + 1 if len(v) == len(u) else 0,
         oracle=lambda r, v, u, ctx:
             set(r) == {w for w in oracle.oracle_lex_set(u, ctx) if w >= v}),
     "lex-mon": Command(
         "smallest lex set containing a monomial", (MONOMIAL,), construct._lex_mon_walks,
-        _monomial_list,
-        size=_lex_size,
-        oracle=lambda r, u, ctx: set(r) == oracle.oracle_lex_set(u, ctx)),
+        _monomial_list, oracle=lambda r, u, ctx: set(r) == oracle.oracle_lex_set(u, ctx)),
     "count-lex": Command(
         "size of the smallest lex set, without construction", (MONOMIAL,),
         count.count_t_lex_mon, _scalar,
@@ -322,13 +311,11 @@ COMMANDS: dict[str, Command] = {
     "ss-seg": Command(
         "strongly stable segment between two monomials", (START, END),
         construct._ss_seg_walks, _monomial_list,
-        # exact; endpoints the kernel refuses raise its own error here
-        size=lambda v, u, ctx: count._ss_seg_size(*construct._ss_seg_ends(v, u, ctx), ctx.t),
         oracle=lambda r, v, u, ctx:
             set(r) == {w for w in oracle.oracle_borel_set(u, ctx) if w >= v}),
     "ss-mon": Command(
         "smallest strongly stable set containing a monomial", (MONOMIAL,),
-        construct._ss_mon_walks, _monomial_list, size=_set_size(count.count_t_ss_mon),
+        construct._ss_mon_walks, _monomial_list,
         oracle=lambda r, u, ctx: set(r) == oracle.oracle_borel_set(u, ctx)),
     "count-ss": Command(
         "size of the smallest strongly stable set", (MONOMIAL,), count.count_t_ss_mon, _scalar,
@@ -343,7 +330,7 @@ COMMANDS: dict[str, Command] = {
         size=_closure_size),
     "veronese": Command(
         "all t-spread monomials of one degree", (_int("degree"),),
-        construct._veronese_walks, _monomial_list, size=count.card_veronese,
+        construct._veronese_walks, _monomial_list,
         oracle=lambda r, d, ctx: r == oracle.enumerate_veronese(d, ctx)),
     "betti": Command(
         "Betti table of a strongly stable ideal", (IDEAL,), lambda ideal, ctx: graded_betti(ideal),
@@ -354,7 +341,9 @@ COMMANDS: dict[str, Command] = {
     "realize-betti": Command(
         "smallest ideal with prescribed corners, given as k,l=value",
         (Arg("corners", _corners, {"nargs": "+", "metavar": "K,L=A"}),),
-        realize_extremal_betti, _realized),
+        realize_extremal_betti, _realized,
+        # a sure lower bound: each basic monomial prints as basic and as a generator
+        size=lambda config, ctx: 2 * sum(config.values)),
     "ft-vector": Command(
         "quotient counts of a t-spread ideal per degree", (IDEAL,),
         lambda ideal, ctx: kk.ft_vector(ideal), lambda vec: (vec, [brace_vector(vec)]),
@@ -370,11 +359,11 @@ COMMANDS: dict[str, Command] = {
     "lex-ideal": Command(
         "lex ideal from a quotient vector (--f) or sharing an ideal's",
         (Arg("--f", _vector, {"metavar": "VECTOR", "help": "quotient counts, e.g. 1,8,21,10,0"}),
-         Arg("ideal", lambda source, ctx, fail: _Counted(_ideal(source, ctx, fail)),
-             IDEAL.options, unless="f")),
+         Arg("ideal", _ideal, IDEAL.options, unless="f")),
         lambda f, ideal, ctx:
-            kk._walks_from_f(f, ctx) if ideal is None else kk._walks_of_counts(ideal.f(), ctx),
-        _monomial_list, size=_lex_ideal_size),
+            kk._walks_from_f(f, ctx) if ideal is None
+            else kk._walks_of_counts(kk.ft_vector(ideal), ctx),
+        _monomial_list, size=lambda f, ideal, ctx: 0 if ideal is None else _ring(ideal, ctx)),
     "is-lex-ideal": Command(
         "whether every degree slice is an initial lex segment", (IDEAL,),
         lambda ideal, ctx: construct.is_t_lex_ideal(ideal), _bool, size=_ring),
@@ -541,26 +530,22 @@ def _write(out: str) -> None:
 def _answer(args: dict, row: Command, values: list, ctx: Context | None) -> int:
     """Guard, kernel, render and print for converted values; the exit status.
 
-    A listing (``construct._Walks``) printed as text without ``--oracle``
-    goes to stdout straight from its walks, a block at a time, so memory
-    follows a block, not the output; otherwise it is built as tuples.
+    A row's ``size`` guards its command before the kernel; a listing
+    (``construct._Walks``) is guarded by its own size after the kernel's
+    input checks, before any walk.  A listing printed as text without
+    ``--oracle`` goes to stdout straight from its walks, a block at a time,
+    so memory follows a block, not the output; otherwise it is built as
+    tuples.
     """
     agrees = None
     blocks = None
     try:
         if row.size is not None and not args["force"]:
-            predicted = row.size(*values, ctx)
-            if predicted > FORCE_LIMIT:
-                bits = predicted.bit_length()
-                # past 10^4 bits (about 3010 digits) a power of ten below the
-                # size names it; 0.30102 < log10(2)
-                size = (
-                    str(predicted) if bits <= 10**4
-                    else f"at least 10^{(bits - 1) * 30102 // 10**5}"
-                )
-                raise TSpreadError(f"output would hold {size} monomials; pass --force to build it")
+            _refuse_past_limit(row.size(*values, ctx))
         result = row.kernel(*values, ctx)
         if type(result) is construct._Walks:
+            if not args["force"]:
+                _refuse_past_limit(result.size())
             if args["format"] == "text" and not args["oracle"]:
                 blocks = result.lines()
             else:

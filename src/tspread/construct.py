@@ -80,7 +80,7 @@ from .core import (
     require_t_spread_ideal,
     validate_monomial,
 )
-from .count import _ss_seg_size, binomial, count_t_lex_mon
+from .count import _ss_seg_size, _ss_size, binomial, card_veronese, count_t_lex_mon
 
 
 def _shadow(m: Monomial, ctx: Context) -> list[Monomial]:
@@ -256,9 +256,14 @@ class _Walks(list):
     """A listing as the walks that make it: ``_walk`` argument tuples (top,
     bottom, caps, t) whose members follow one another.  Nothing is walked
     until the listing is asked for, as tuples (``members``) or as text
-    (``lines``), both from the same splits."""
+    (``lines``), both from the same splits, or its size (``size``), the
+    closed form its producer knows, counted only when asked."""
 
-    __slots__ = ()
+    __slots__ = ("size",)
+
+    def __init__(self, walks: Iterable[tuple], size: Callable[[], int]) -> None:
+        super().__init__(walks)
+        self.size = size
 
     def members(self) -> list[Monomial]:
         if len(self) == 1:
@@ -327,8 +332,9 @@ def t_veronese(d: int, ctx: Context) -> list[Monomial]:
 
 def _veronese_walks(d: int, ctx: Context) -> _Walks:
     if d and 1 + (d - 1) * ctx.t > ctx.n:
-        return _Walks()
-    return _Walks([_lex_span(max_mon(d, ctx), min_mon(d, ctx), ctx)])
+        return _Walks([], lambda: 0)
+    span = _lex_span(max_mon(d, ctx), min_mon(d, ctx), ctx)
+    return _Walks([span], lambda: card_veronese(d, ctx))
 
 
 def t_veronese_ideal(d: int, ctx: Context) -> MonomialIdeal:
@@ -350,7 +356,7 @@ def _lex_seg_walks(v: Sequence[int], u: Sequence[int], ctx: Context) -> _Walks:
     bottom = require_t_spread(u, ctx)
     if cmp_slex(top, bottom) < 0:
         raise TSpreadError("segment start lies below its end in the slex order")
-    return _Walks([_lex_span(top, bottom, ctx)])
+    return _lex_interval(top, bottom, ctx)
 
 
 def t_lex_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
@@ -360,7 +366,16 @@ def t_lex_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
 
 def _lex_mon_walks(u: Sequence[int], ctx: Context) -> _Walks:
     m = require_t_spread(u, ctx)
-    return _Walks([_lex_span(max_mon(len(m), ctx), m, ctx)])
+    return _lex_interval(max_mon(len(m), ctx), m, ctx)
+
+
+def _lex_interval(top: Monomial, bottom: Monomial, ctx: Context) -> _Walks:
+    # the slex interval from top down to bottom, sized by the lex sets of its
+    # ends; the unit monomial's is {1}
+    return _Walks(
+        [_lex_span(top, bottom, ctx)],
+        lambda: count_t_lex_mon(bottom, ctx) - count_t_lex_mon(top, ctx) + 1 if top else 1,
+    )
 
 
 def _slices(
@@ -428,7 +443,7 @@ def t_ss_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]
 
 def _ss_seg_walks(v: Sequence[int], u: Sequence[int], ctx: Context) -> _Walks:
     top, bottom = _ss_seg_ends(v, u, ctx)
-    return _Walks([(top, bottom, bottom, ctx.t)])
+    return _Walks([(top, bottom, bottom, ctx.t)], lambda: _ss_seg_size(top, bottom, ctx.t))
 
 
 def _ss_seg_ends(v: Sequence[int], u: Sequence[int], ctx: Context) -> tuple[Monomial, Monomial]:
@@ -456,7 +471,7 @@ def t_ss_mon(u: Sequence[int], ctx: Context) -> list[Monomial]:
 
 def _ss_mon_walks(u: Sequence[int], ctx: Context) -> _Walks:
     m = require_t_spread(u, ctx)
-    return _Walks([(max_mon(len(m), ctx), m, m, ctx.t)])
+    return _Walks([(max_mon(len(m), ctx), m, m, ctx.t)], lambda: _ss_size(m, ctx.t))
 
 
 def t_ss_set(monomials: Iterable[Sequence[int]], ctx: Context) -> list[Monomial]:

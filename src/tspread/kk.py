@@ -219,27 +219,19 @@ def _shifted_bounds(fv: list[int], ctx: Context) -> list[int] | None:
     return bounds
 
 
-def _rank_intervals(
-    f: list[int], bounds: list[int], ctx: Context
-) -> Iterator[tuple[int, int, int]]:
-    # (j, h_j, s_j) for the lex ideal of an ft-vector f with its shifted
-    # bounds: its degree-j generators are the slex ranks [h_j, s_j) (the
-    # rank interval of the module docstring); degrees past f's end count
-    # zero, so one further degree closes the ideal off
-    for j, x in enumerate(f + [0]):
-        if j:
-            full = card_veronese(j, ctx)
-            yield j, 0 if j == 1 else full - bounds[j - 2], full - x
-
-
 def _lex_walks(f: list[int], bounds: list[int], ctx: Context) -> _Walks:
     # the generators of the lex ideal of an ft-vector f with its shifted
-    # bounds, as the walks of its rank intervals, one per degree
-    walks = _Walks()
-    for j, shadow, size in _rank_intervals(f, bounds, ctx):
-        if shadow < size:
-            walks.append(_lex_span(_unrank(shadow, j, ctx), _unrank(size - 1, j, ctx), ctx))
-    return walks
+    # bounds, as the walks of its rank intervals, and their number: in
+    # degree j the slex ranks [h_j, s_j) (the module docstring); degrees
+    # past f's end count zero, so one further degree closes the ideal off
+    spans, total = [], 0
+    for j, x in enumerate(f + [0]):
+        full = card_veronese(j, ctx)
+        shadow, size = 0 if j < 2 else full - bounds[j - 2], full - x
+        if j and shadow < size:
+            spans.append(_lex_span(_unrank(shadow, j, ctx), _unrank(size - 1, j, ctx), ctx))
+            total += size - shadow
+    return _Walks(spans, lambda: total)
 
 
 def _lex_ideal(walks: _Walks, ctx: Context) -> MonomialIdeal:

@@ -29,7 +29,6 @@ from tspread.cli import (
     FORCE_LIMIT,
     _build_parser,
     _closure_size,
-    _lex_ideal_size,
     _ring,
     format_monomial,
     main,
@@ -321,6 +320,61 @@ class TestErrors:
             1, "", "error: expected a t-spread monomial\n")
         assert time.perf_counter() - start < 1.0
 
+    def test_segment_ends_are_checked_once(self, capsys, monkeypatch):
+        # the kernel's walks are the guard, so each call checks the endpoints
+        # once: answered, refused, refused as not t-spread, or forced
+        ends = construct._ss_seg_ends
+        calls = []
+        monkeypatch.setattr(construct, "_ss_seg_ends", lambda *a: calls.append(a) or ends(*a))
+        ring = ["ss-seg", "--n", "90", "--t", "2"]
+        end = "9,22,40,55,72,89"
+        for argv in (["9,22,40,55,72,88", end], ["1,3,5,7,9,11", end], ["1,2,5,7,9,11", end],
+                     ["9,22,40,55,72,88", end, "--force"]):
+            calls.clear()
+            code, _, _ = run(capsys, *ring, *argv)
+            assert len(calls) == 1, (argv, code)
+
+    def test_shadow_guard_is_immediate(self, capsys):
+        # the shadow of x_1 at n = 2 000 000: 1 999 999 monomials, refused;
+        # a member that is not t-spread gets the kernel's error instead
+        start = time.perf_counter()
+        assert run(capsys, "shadow", "--n", "2000000", "--t", "1", "1") == (
+            1, "", "error: output would hold 1999999 monomials; pass --force to build it\n")
+        assert run(capsys, "shadow", "--n", "2000000", "--t", "2", "1", "1,2") == (
+            1, "", "error: expected a t-spread monomial\n")
+        # each member's own shadow is counted from its gaps, so at large t
+        # an empty shadow is answered, not refused
+        packed = ",".join(str(1 + k * 10**5) for k in range(10))
+        assert run(capsys, "shadow", "--n", str(10**6), "--t", str(10**5), packed) == (0, "", "")
+        assert time.perf_counter() - start < 1.0
+
+    def test_shadow_guard_bounds_the_shadow(self):
+        # exact for one member and for a whole slice, an upper bound for
+        # several members
+        rng = random.Random(2801)
+        for _ in range(200):
+            ctx = Context(rng.randint(1, 14), rng.randint(1, 4))
+            d = rng.randint(0, ctx.max_degree())
+            ms = [rng.choice(construct.t_veronese(rng.randint(0, ctx.max_degree()), ctx))
+                  for _ in range(rng.randint(1, 4))]
+            shadow = construct.t_shadow_set(ms, ctx)
+            assert cli._shadow_size(ms, ctx) >= len(shadow), (ctx, ms)
+            assert cli._shadow_size(ms[:1], ctx) == len(construct.t_shadow(ms[0], ctx)), (ctx, ms)
+            whole = construct.t_veronese(d, ctx)
+            assert cli._shadow_size(whole, ctx) == len(construct.t_shadow_set(whole, ctx)), (ctx, d)
+
+    def test_realized_guard_is_immediate(self, capsys):
+        # each basic monomial prints twice, as basic and as a generator:
+        # 2 * 10^6 lines at least, refused before any walk
+        start = time.perf_counter()
+        assert run(capsys, "realize-betti", "--n", "60", "--t", "1", "30,30=1000000") == (
+            1, "", "error: output would hold 2000000 monomials; pass --force to build it\n")
+        assert time.perf_counter() - start < 1.0
+        # the bound holds: the README configuration's 8 basic monomials
+        code, out, _ = run(capsys, "realize-betti", "--n", "25", "--t", "3",
+                           "6,2=2", "5,4=1", "4,5=3", "3,7=2")
+        assert code == 0 and len(out.splitlines()) - 2 >= 2 * 8
+
     def test_strongly_stable_guard_is_immediate(self, capsys):
         start = time.perf_counter()
         code, _, err = run(capsys, "ss-mon", "--n", "200", "--t", "2", "20,60,100,140,180,199")
@@ -349,8 +403,9 @@ class TestErrors:
         # all but 10 degree-5 monomials, then the one degree-6 monomial outside their
         # shadow: 657 999 generators, under the limit, where the segments held 4 496 378
         ctx = Context(40, 1)
-        assert _lex_ideal_size([1, 40, 780, 9880, 91390, 10], None, ctx) == 657999 < FORCE_LIMIT
-        assert _lex_ideal_size([1, 40, 781, 0, 0, 0], None, ctx) == 0  # refused by the kernel
+        assert kk._walks_from_f([1, 40, 780, 9880, 91390, 10], ctx).size() == 657999 < FORCE_LIMIT
+        with pytest.raises(core.InvalidFtVectorError):  # refused by the kernel
+            kk._walks_from_f([1, 40, 781, 0, 0, 0], ctx)
 
     @pytest.mark.parametrize(
         "name, gens, head",
@@ -589,7 +644,8 @@ def test_unit_monomial_listings(capsys, argv, code, out, err):
 
 def guarded_calls(rng, ctx):
     """(name, argv, stdin, values) of seeded calls of the listing commands
-    whose guards are exact, ``values`` as the command's converters give them.
+    whose walks report their size, ``values`` as the command's converters
+    give them.
 
     Every degree from 0 on, one segment across two degrees, and lex-ideal
     of up to 12 small closures and of their vectors, whole or cut short: a
@@ -617,7 +673,7 @@ def guarded_calls(rng, ctx):
         cut = f[:rng.randint(1, len(f))]
         calls += [
             ("lex-ideal", [], "".join(format_monomial(g) + "\n" for g in ideal.gens),
-             (None, cli._Counted(ideal))),
+             (None, ideal)),
             ("lex-ideal", ["--f", ",".join(map(str, f))], "", (f, None)),
             ("lex-ideal", ["--f", ",".join(map(str, cut))], "", (cut, None)),
         ]
@@ -626,11 +682,14 @@ def guarded_calls(rng, ctx):
 
 @pytest.mark.parametrize("n, t", CLOSURE_RINGS)
 def test_guard_predicts_the_lines_printed(capsys, monkeypatch, n, t):
-    # a listing command's guard is the number of lines it prints with --force
+    # a listing's own size, its walks', is the number of lines it prints with --force
     ctx = Context(n, t)
     printed = set()
     for name, argv, stdin, values in guarded_calls(random.Random(2600 + 10 * n + t), ctx):
-        predicted = COMMANDS[name].size(*values, ctx)
+        try:
+            predicted = COMMANDS[name].kernel(*values, ctx).size()
+        except core.TSpreadError:  # the kernel's own refusal prints nothing
+            predicted = 0
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code, out, _ = run(capsys, name, "--n", str(n), "--t", str(t), *argv, "--force")
         assert len(out.splitlines()) == predicted, (name, argv, stdin, code)
@@ -642,7 +701,7 @@ def test_lex_ideal_guard_counts_the_closure(capsys, monkeypatch, closure_40):
     # the n = 40, t = 2 closure's lex ideal: 1 221 531 generators, predicted
     # from the closure's ft-vector and listed under --force
     closed, _ = closure_40
-    assert _lex_ideal_size(None, cli._Counted(closed), closed.ctx) == 1221531
+    assert kk._walks_of_counts(kk.ft_vector(closed), closed.ctx).size() == 1221531
     lines = "".join(format_monomial(g) + "\n" for g in closed.gens)
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     assert run(capsys, "lex-ideal", "--n", "40", "--t", "2") == (

@@ -434,7 +434,38 @@ def test_listings_are_their_walks():
     for listing, walks in cases:
         assert walks.members() == listing
         assert "".join(walks.lines()) == joined_lines(listing)
+        assert walks.size() == len(listing)
     assert len(cases[-1][1]) > 1  # several degrees
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_walks_report_their_size(t):
+    # a seeded grid over every producer of walks: each one's closed-form
+    # size is the number of members its walks list, every degree 0..D and
+    # the empty degree past D, and the lex ideals of random closures' vectors
+    rng = random.Random(2800 + t)
+    for n in range(1, 13):
+        ctx = Context(n, t)
+        top_degree = ctx.max_degree()
+        produced = [construct._veronese_walks(top_degree + 1, ctx)]
+        for d in range(top_degree + 1):
+            chain = t_veronese(d, ctx)
+            u = rng.choice(chain)
+            v = rng.choice(t_ss_mon(u, ctx))
+            start, end = sorted(rng.choice(chain) for _ in range(2))
+            produced += [
+                construct._veronese_walks(d, ctx),
+                construct._lex_mon_walks(u, ctx),
+                construct._ss_mon_walks(u, ctx),
+                construct._lex_seg_walks(start, end, ctx),
+                construct._ss_seg_walks(v, u, ctx),
+            ]
+        for _ in range(4 if top_degree else 0):
+            gens = [rng.choice(t_veronese(rng.randint(1, top_degree), ctx)) for _ in range(3)]
+            f = kk.ft_vector(construct.t_ss_ideal(MonomialIdeal(ctx, gens)))
+            produced += [kk._walks_from_f(f, ctx), kk._walks_of_counts(f, ctx)]
+        for walks in produced:
+            assert walks.size() == len(walks.members()), (n, walks)
 
 
 def test_level_builder_reaches_large_indices():
