@@ -27,7 +27,6 @@ no member of the ideal built so far is built again.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Iterator, Mapping
 
 from .core import (
     Context,
@@ -40,6 +39,10 @@ from .core import (
     _has_prefix_in,
 )
 from .construct import _fresh, _shapes, is_t_ss_ideal, iter_veronese
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Iterator, Mapping
 
 
 class BettiTable(Frozen):
@@ -213,17 +216,30 @@ def _candidates_with_top(degree: int, top: int, ctx: Context) -> Iterator[Monomi
         yield prefix + (top,)
 
 
+def _corner_tops(config: CornerConfig, ctx: Context) -> list[int]:
+    # each corner's top index, k + t(l-1) + 1, or the refusal of the first
+    # one beyond n: checked before any walk, by the size guard first
+    tops = [k + ctx.t * (l - 1) + 1 for k, l in config.corners]
+    for (k, l), top in zip(config.corners, tops):
+        if top > ctx.n:
+            raise InfeasibleCornersError(
+                f"corner ({k},{l}) needs variable index {top}, beyond n={ctx.n}"
+            )
+    return tops
+
+
 def realize_extremal_betti(
     config: CornerConfig, ctx: Context
 ) -> tuple[list[Monomial], MonomialIdeal]:
     """Basic monomials and the smallest strongly stable ideal with the
     prescribed extremal corners and values.
 
-    Corners are processed by increasing degree; each takes the slex-largest
-    monomials with the forced top index that the ideal built so far does not
-    already contain, then closes them off.  The result is verified by
-    re-detecting the corners; any mismatch or shortage of candidates means
-    the configuration is not realizable.
+    Every corner's forced top index is checked against n first, before any
+    walk.  Corners are then processed by increasing degree; each takes the
+    slex-largest monomials with the forced top index that the ideal built
+    so far does not already contain, then closes them off.  The result is
+    verified by re-detecting the corners; any mismatch or shortage of
+    candidates means the configuration is not realizable.
 
     The running ideal is strongly stable by construction, so membership is
     a prefix lookup in its generator set.  Degrees strictly increase, so no
@@ -236,12 +252,7 @@ def realize_extremal_betti(
     basics: list[Monomial] = []
     gens: list[Monomial] = []
     gen_set: set[Monomial] = set()
-    for (k, l), a in zip(config.corners, config.values):
-        top = k + ctx.t * (l - 1) + 1
-        if top > ctx.n:
-            raise InfeasibleCornersError(
-                f"corner ({k},{l}) needs variable index {top}, beyond n={ctx.n}"
-            )
+    for (k, l), a, top in zip(config.corners, config.values, _corner_tops(config, ctx)):
         chosen: list[Monomial] = []
         for w in _candidates_with_top(l, top, ctx):
             if _has_prefix_in(w, gen_set):

@@ -27,15 +27,20 @@ import os
 import sys
 from itertools import chain
 from operator import mod
-from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
-from . import construct, core, count, kk, oracle
+from . import betti, construct, core, count, kk, oracle
 from .betti import CornerConfig, extremal_corners, graded_betti, realize_extremal_betti
 from .construct import _TEMPLATES
 from .core import Context, Monomial, MonomialIdeal, TSpreadError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
+    from typing import Callable, Iterable, NoReturn, Sequence
+
+    # a boundary converter's ``fail``, and a renderer's (payload, lines)
+    Fail = Callable[[str], NoReturn]
+    Rendered = tuple[object, Iterable[str]]
 
 FORCE_LIMIT = 10**6
 
@@ -62,7 +67,6 @@ def brace_vector(values: Sequence[int]) -> str:
 # Boundary converters.  Each turns one parsed argument into the value its
 # kernel takes, or ends the run through ``fail`` (the called command's
 # parser's ``error``, exit status 2).  Kernels never see unconverted input.
-Fail = Callable[[str], NoReturn]
 
 
 def _monomial(text: str, ctx: Context, fail: Fail) -> Monomial:
@@ -160,7 +164,6 @@ def _flag(name: str, help_: str) -> Arg:
 
 # Renderers: the JSON payload and the text lines of one result.  Only one
 # of the two is used, so neither should cost much before it is read.
-Rendered = tuple[object, Iterable[str]]
 
 
 def _monomial_list(monomials: Sequence[Monomial]) -> Rendered:
@@ -342,8 +345,14 @@ COMMANDS: dict[str, Command] = {
         "smallest ideal with prescribed corners, given as k,l=value",
         (Arg("corners", _corners, {"nargs": "+", "metavar": "K,L=A"}),),
         realize_extremal_betti, _realized,
-        # a sure lower bound: each basic monomial prints as basic and as a generator
-        size=lambda config, ctx: 2 * sum(config.values)),
+        # a sure lower bound: each basic monomial prints as basic and as a
+        # generator.  The kernel's top-index check runs first, and a corner
+        # counts at most its candidates, the degree-(l - 1) slice on top - t
+        # variables, so a value past them reaches the kernel's own error.
+        size=lambda config, ctx: 2 * sum(
+            min(a, 1 if l == 1 else count.card_veronese(l - 1, Context(top - ctx.t, ctx.t)))
+            for (_, l), a, top in zip(
+                config.corners, config.values, betti._corner_tops(config, ctx)))),
     "ft-vector": Command(
         "quotient counts of a t-spread ideal per degree", (IDEAL,),
         lambda ideal, ctx: kk.ft_vector(ideal), lambda vec: (vec, [brace_vector(vec)]),

@@ -34,14 +34,15 @@ monomials is built by ``_fresh``, one greatest-caps walk per degree, not
 a union of Borel sets.  A set may start at any slex rank: the unrank step finds the monomial of a
 given rank in O(d log n) binomials.  Public functions validate once; the
 kernels and shadows never again.  The set tests and set constructions
-take their members from one helper, ``_slices``, which validates them
-once and groups them by degree, each degree with its index columns, one
-``itemgetter`` pass per position (``core._columns`` says why not
-``zip(*ms)``).  The segment tests compare the member count with the
-segment's, a closed form (``count._ss_seg_size`` for Borel segments).  A
-shadow set is emitted as ascending runs, one family per insertion
-position, that a single sort merges (``_shadow_runs``), and one more sort
-merges the degrees.
+take their members from ``_slices``: the one batch check, which the ideals
+take too (``core._batch``), certifies them and groups them by degree, each
+degree with its index columns, one ``itemgetter`` pass per position
+(``core._columns`` says why not ``zip(*ms)``), and only input it does not
+certify is checked member by member.  The segment tests compare the member
+count with the segment's, a closed form (``count._ss_seg_size`` for Borel
+segments).  A shadow set is emitted as ascending runs, one family per
+insertion position, that a single sort merges (``_shadow_runs``), and one
+more sort merges the degrees.
 
 The stability tests of sets and ideals share one kernel: the single
 decrements of each position, zipped from a degree's index columns, are
@@ -59,7 +60,6 @@ from collections import Counter
 from itertools import chain, compress, filterfalse, groupby, islice, repeat, starmap
 from math import comb
 from operator import add, ge, itemgetter, lt, ne, sub
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     BorelIncomparableError,
@@ -67,10 +67,10 @@ from .core import (
     Monomial,
     MonomialIdeal,
     TSpreadError,
+    _batch,
     _columns,
-    _columns_fit,
     _columns_spread,
-    _exact_tuples,
+    _groups,
     _has_prefix_in,
     borel_geq,
     cmp_slex,
@@ -80,7 +80,11 @@ from .core import (
     require_t_spread_ideal,
     validate_monomial,
 )
-from .count import _ss_seg_size, _ss_size, binomial, card_veronese, count_t_lex_mon
+from .count import _lex_count, _ss_seg_size, _ss_size, binomial, card_veronese, count_t_lex_mon
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 def _shadow(m: Monomial, ctx: Context) -> list[Monomial]:
@@ -384,35 +388,21 @@ def _slices(
     check: Callable[[Sequence[int], Context], Monomial],
 ) -> list[tuple[set[Monomial], list[list[int]]]] | None:
     # The distinct members by degree, ascending: each degree's set with its
-    # index columns, in the set's iteration order (``core._columns``, not
-    # zip(*ms)).  Validated once.  Tuples of exact ints (``core._exact_tuples``)
-    # are taken as they are, and anything else goes through ``check``
-    # (``validate_monomial`` or ``require_t_spread``), which converts it.
-    # When some degree's columns do not lie in [1, n] at least t apart
-    # (``core._columns_fit``), the exact tuples go through ``check`` too, in
-    # input order, so the first offender raises; None if all pass, as then
-    # a member is not t-spread.
+    # index columns, in the set's iteration order, as the batch check
+    # (``core._batch``) gives them; None when a member is not t-spread.
+    # Input the batch check does not certify, or certifies with a gap below
+    # t, goes through ``check`` (``validate_monomial`` or
+    # ``require_t_spread``) member by member in input order, which converts
+    # it or raises at the first offender.
     items = list(monomials)
-    exact = _exact_tuples(items)
-    if not exact:
-        items = [check(m, ctx) for m in items]
-    ms = set(items)
-    members = list(ms)  # read once per position, and a list reads faster than a set
-    degrees = set(map(len, members))
-    if len(degrees) == 1:
-        groups = [(ms, members)]
-    else:
-        by_degree: dict[int, set[Monomial]] = {}
-        for m in members:
-            by_degree.setdefault(len(m), set()).add(m)
-        groups = [(g, list(g)) for _, g in sorted(by_degree.items())]
-    slices = [(g, _columns(ordered, len(ordered[0]))) for g, ordered in groups]
-    if all(_columns_fit(cols, ctx.n, ctx.t) for _, cols in slices):
-        return slices
-    if exact:
+    batch = _batch(items, ctx)
+    if batch is None:
+        batch = _batch([check(m, ctx) for m in items], ctx)
+    elif batch[1] < ctx.t:
         for m in items:
             check(m, ctx)
-    return None
+    groups, gap = batch
+    return [(ms, cols) for ms, _, cols in groups] if gap >= ctx.t else None
 
 
 def is_t_lex_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
@@ -426,9 +416,8 @@ def is_t_lex_seg(monomials: Iterable[Sequence[int]], ctx: Context) -> bool:
         return False
     ms = slices[0][0] if slices else set()
     # with two members or more the degree is positive, as counting needs
-    return len(ms) < 2 or len(ms) == (
-        count_t_lex_mon(max(ms), ctx) - count_t_lex_mon(min(ms), ctx) + 1
-    )
+    d, n, t = len(min(ms, default=())), ctx.n, ctx.t
+    return len(ms) < 2 or len(ms) == _lex_count(max(ms), d, n, t) - _lex_count(min(ms), d, n, t) + 1
 
 
 def t_ss_seg(v: Sequence[int], u: Sequence[int], ctx: Context) -> list[Monomial]:
@@ -643,20 +632,17 @@ def is_t_ss_ideal(ideal: MonomialIdeal) -> bool:
 
 def _ss_by_decrements(ideal: MonomialIdeal) -> bool:
     # is_t_ss_ideal by the decrement kernel, a degree at a time: a degree's
-    # generators are hashed only once the lower degrees have passed
+    # columns are listed and its generators hashed only once the lower
+    # degrees have passed
     t = ideal.ctx.t
-    runs: dict[int, list[Monomial]] = {}
-    for d, run in groupby(ideal.gens, len):  # runs of one degree, merged in case
-        runs.setdefault(d, []).extend(run)  # the generators come out of order
     lower: list[tuple[int, set[Monomial]]] = []
-    for d, gens in sorted(runs.items()):
-        cols = _columns(gens, d)
+    for _, gens, cols in _groups(ideal.gens):
         if not _columns_spread(cols, t):
             return False
         ms = set(gens)
         if not _decrements_found(ms, cols, lower, t):
             return False
-        lower.insert(0, (d, ms))
+        lower.insert(0, (len(cols), ms))
     return True
 
 
@@ -740,7 +726,13 @@ def is_t_lex_ideal(ideal: MonomialIdeal) -> bool:
     (n - (k-d-1)t, ..., n - t, n), so the slex-least split member (the
     tuple-max) is the tuple-max, over generator shapes (d, max g), of the
     shape's tuple-max generator followed by its pad, kept when the pad
-    clears max g + t.
+    clears max g + t.  No minimal generator is a prefix of another, so
+    these candidates compare as their generators do: the least member is
+    the greatest such generator and its pad.  Its count needs only the
+    generator and the pad's first index (``count._lex_count``): the pad's
+    later indices each lower nothing, so their levels add 0, and no
+    degree-k tuple is built.  Each degree costs one binomial per generator
+    shape and O(deg g) more, not O(k).
 
     *Split members suffice.*  Those of degree k form an initial segment
     exactly when they are as many as the lex set of the least one.  If they
@@ -759,11 +751,8 @@ def is_t_lex_ideal(ideal: MonomialIdeal) -> bool:
         members = _ek_members(shapes, k, ctx)
         if not members:
             continue
-        least = max(
-            g + tuple(range(n - (k - d - 1) * t, n + 1, t))
-            for (d, top), g in last.items()
-            if d <= k and n - (k - d - 1) * t >= top + t
-        )
-        if count_t_lex_mon(least, ctx) != members:
+        g = max(g for (d, top), g in last.items() if d <= k and n - (k - d - 1) * t >= top + t)
+        head = g + (n - (k - len(g) - 1) * t,) if len(g) < k else g
+        if _lex_count(head, k, n, t) != members:
             return False
     return True

@@ -11,13 +11,15 @@ boundary (``_least_gap``): the indices are converted by ``int`` once, and
 the least gap between neighbours decides both checks, strict increase
 (least gap at least 1) and spread (least gap at least t).  Below degree 2
 the least gap counts as t, so such monomials are t-spread for every t,
-also t > n.  Batches of monomials are checked on their index columns
-instead (``_canonical`` here, ``construct._slices`` for sets), and the
-least gap an ideal's input shows there certifies it t-spread when it is at
-least t.  Membership in an ideal known to be strongly stable is the one
-query answered before any check: the prefixes of a tuple are looked up
-among the generators first, a hit answers True with no check, and only a
-miss is checked, inline, before it answers False.
+also t > n.  A batch, the input of an ideal or of a set function, has one
+check on its index columns, ``_batch``: it certifies tuples of exact ints
+whose columns lie in [1, n] and increase strictly, and hands back their
+least column gap, which certifies them t-spread when it is at least t.
+Anything else is checked member by member in input order (``_canonical``,
+``construct._slices``).  Membership in an ideal known to be strongly
+stable is the one query answered before any check: the prefixes of a tuple
+are looked up among the generators first, a hit answers True with no
+check, and only a miss is checked, inline, before it answers False.
 
 All values are immutable and all functions are pure, so everything can be
 shared freely across threads.  An ideal remembers facts derived from its
@@ -28,13 +30,18 @@ and two threads racing on it only derive the same fact twice.
 """
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations, compress, groupby
+from bisect import bisect_right
+from itertools import accumulate, chain, combinations, compress
 from math import comb
 from operator import itemgetter, le, not_, or_, sub
-from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Collection, Container, Iterable, Iterator, Sequence, TypeVar
+
+    _T = TypeVar("_T")
 
 Monomial = tuple[int, ...]
-_T = TypeVar("_T")
 _INT = frozenset((int,))  # ``contains``'s exact-int test, built once
 
 
@@ -256,17 +263,24 @@ def minimalize(gens: Iterable[Sequence[int]]) -> list[Monomial]:
     when the C(d, e) subsets are no more than the kept ones, else a scan of
     the kept ones per support.  The unit support divides every other.
     """
-    return _minimal(_groups(tuple(sorted(set(g))) for g in gens))
+    return _minimal(_groups((tuple(sorted(set(g))) for g in gens), set))
 
 
-def _groups(supports: Iterable[Monomial]) -> list[tuple[int, list[Monomial], list[list[int]]]]:
-    # the distinct supports by size, ascending: (size, supports ascending,
-    # their index columns)
-    groups = []
-    for d, run in groupby(sorted(set(supports), key=len), len):
-        ms = sorted(run)  # compared within one size only, as (size, tuple) keys are
-        groups.append((d, ms, _columns(ms, d)))
-    return groups
+def _groups(
+    ms: Iterable[Monomial], bucket: Callable[[list[Monomial]], Collection[Monomial]] = list
+) -> Iterator[tuple[Collection[Monomial], list[Monomial], list[list[int]]]]:
+    # ms by degree, ascending: each degree's ``bucket`` of its members (a set
+    # drops repeats), listed in the bucket's order, and their index columns.
+    # One stable sort by length, linear on input in degree order, then lazy:
+    # a caller that stops at a degree lists and hashes nothing above it.
+    ms = sorted(ms, key=len)
+    lo = 0
+    while lo < len(ms):
+        hi = bisect_right(ms, len(ms[lo]), lo, key=len)
+        run = bucket(ms[lo:hi])
+        members = list(run)
+        yield run, members, _columns(members, len(members[0]))
+        lo = hi
 
 
 def _columns(ms: Sequence[Monomial], d: int) -> list[list[int]]:
@@ -280,12 +294,13 @@ def _columns(ms: Sequence[Monomial], d: int) -> list[list[int]]:
     return [list(map(itemgetter(i), ms)) for i in range(d)]
 
 
-def _minimal(groups: list[tuple[int, list[Monomial], list[list[int]]]]) -> list[Monomial]:
-    # ``minimalize`` of canonical supports, by the index columns of each
-    # size, as ``_groups`` lists them
+def _minimal(groups: Iterable[tuple[object, list[Monomial], list[list[int]]]]) -> list[Monomial]:
+    # ``minimalize`` of distinct canonical supports, by the index columns of
+    # each size, as ``_groups`` lists them
     kept: list[Monomial] = []
     by_size: dict[int, set[Monomial]] = {}
-    for d, ms, cols in groups:
+    for _, ms, cols in groups:
+        d = len(cols)
         if not d:
             return [()]
         hit = [False] * len(ms)
@@ -296,7 +311,7 @@ def _minimal(groups: list[tuple[int, list[Monomial], list[list[int]]]]) -> list[
                     hit = list(map(or_, hit, map(smaller.__contains__, zip(*pos))))
             else:
                 scans.append(smaller)
-        alive = list(compress(ms, map(not_, hit)))
+        alive = sorted(compress(ms, map(not_, hit)))
         for smaller in scans:
             alive = [g for g in alive if not any(map(frozenset(g).issuperset, smaller))]
         kept += alive
@@ -308,46 +323,41 @@ def _columns_spread(cols: Sequence[Sequence[int]], t: int) -> bool:
     return all(min(map(sub, b, a)) >= t for a, b in zip(cols, cols[1:]))
 
 
-def _exact_tuples(items: list) -> bool:
-    # Whether every item is a tuple of exact ints, the only input a batch
-    # check takes as it is.  Anything else (lists, bools, floats, strings,
-    # int subclasses) is validated member by member, which converts it.
-    return set(map(type, items)) <= {tuple} and set(map(type, chain.from_iterable(items))) <= {int}
-
-
-def _columns_fit(cols: Sequence[Sequence[int]], n: int, t: int) -> bool:
-    # whether the index columns of one degree lie in [1, n], adjacent ones at least t apart
-    return not cols or (min(cols[0]) >= 1 and max(cols[-1]) <= n and _columns_spread(cols, t))
+def _batch(
+    items: list, ctx: Context
+) -> tuple[list[tuple[set[Monomial], list[Monomial], list[list[int]]]], int] | None:
+    # The one batch check of sets and ideals: tuples of exact ints whose
+    # index columns lie in [1, n] and increase strictly, degree by degree,
+    # give their distinct members as ``_groups`` lists them in sets, and the
+    # least adjacent column gap, ctx.t below degree 2.  Anything else gives
+    # None, and the caller checks it member by member, in input order.
+    if set(map(type, items)) - {tuple} or set(map(type, chain.from_iterable(items))) - {int}:
+        return None
+    groups = list(_groups(items, set))
+    cols = [c for _, _, c in groups]
+    gap = min((min(map(sub, b, a)) for c in cols for a, b in zip(c, c[1:])), default=ctx.t)
+    if gap < 1 or any(c and (min(c[0]) < 1 or max(c[-1]) > ctx.n) for c in cols):
+        return None
+    return groups, gap
 
 
 def _canonical(gens: Iterable[Sequence[int]], ctx: Context) -> tuple[tuple[Monomial, ...], int]:
     # The validated minimal generators of a proper ideal, (degree, slex)
-    # order, and the least gap between neighbours in the input, ctx.t below
-    # degree 2.  Tuples of exact ints whose columns increase strictly inside
-    # [1, n], degree by degree, with no unit monomial, pass a batch check and
-    # are minimalized as they are: the least gap of the adjacent columns is
-    # the strict-increase check (at least 1).  Anything else is validated
-    # member by member in input order (``_least_gap``), so the first
-    # offender raises.
+    # order, and the input's least gap (``_batch``).  Input the batch check
+    # does not certify, or that holds the unit monomial, is validated member
+    # by member in input order (``_least_gap``), so the first offender raises.
     items = list(gens)
-    if _exact_tuples(items):
-        groups = _groups(items)
-        gap = min(
-            (min(map(sub, b, a)) for _, _, cols in groups for a, b in zip(cols, cols[1:])),
-            default=ctx.t,
-        )
-        if gap >= 1 and all(d and min(cols[0]) >= 1 and max(cols[-1]) <= ctx.n
-                            for d, _, cols in groups):
-            return tuple(_minimal(groups)), gap
-    canon = []
-    gap = ctx.t
-    for g in items:
-        m, g_gap = _least_gap(g, ctx)
-        if not m:
-            raise TSpreadError("the unit monomial cannot generate a proper ideal")
-        canon.append(m)
-        gap = min(gap, g_gap)
-    return tuple(_minimal(_groups(canon))), gap
+    batch = _batch(items, ctx)
+    if batch is None or batch[0] and () in batch[0][0][0]:  # degree 0 comes first
+        canon = []
+        for g in items:
+            m = _least_gap(g, ctx)[0]
+            if not m:
+                raise TSpreadError("the unit monomial cannot generate a proper ideal")
+            canon.append(m)
+        batch = _batch(canon, ctx)
+    groups, gap = batch
+    return tuple(_minimal(groups)), gap
 
 
 def exchange_moves(u: Monomial, ctx: Context) -> Iterator[Monomial]:
@@ -480,9 +490,9 @@ def _has_prefix_in(w: Monomial, gens: Container[Monomial]) -> bool:
 
 
 def _spread_gaps(ideal: MonomialIdeal) -> bool:
-    # the gap test on the index columns of each run of one degree
+    # the gap test on the index columns of each degree
     t = ideal.ctx.t
-    return all(_columns_spread(_columns(list(run), d), t) for d, run in groupby(ideal.gens, len))
+    return all(_columns_spread(cols, t) for _, _, cols in _groups(ideal.gens))
 
 
 def is_t_spread_ideal(ideal: MonomialIdeal) -> bool:

@@ -34,9 +34,12 @@ from __future__ import annotations
 
 from math import comb
 from operator import lt
-from typing import Iterator, Sequence
 
 from .core import Context, TSpreadError, require_t_spread
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterator, Sequence
 
 BinomialTerm = tuple[int, int]
 
@@ -116,15 +119,23 @@ def count_t_lex_mon(u: Sequence[int], ctx: Context) -> int:
     C(N, r+1) - C(N-M, r+1).  The final 1 counts ``u`` itself.
     """
     m = require_t_spread(u, ctx)
-    d = len(m)
-    if d == 0:
+    if not m:
         raise TSpreadError("counting requires degree at least 1")
-    n, t = ctx.n, ctx.t
+    return _lex_count(m, len(m), ctx.n, ctx.t)
+
+
+def _lex_count(head: Sequence[int], d: int, n: int, t: int) -> int:
+    # ``count_t_lex_mon``, unchecked, of the degree-d t-spread monomial that
+    # starts with head and goes on t apart from head's last index up to n,
+    # head itself when d = len(head).  A level whose index is its
+    # predecessor's plus t adds C(N, r) - C(N - 0, r) = 0, so it is skipped,
+    # and the levels past head are never visited (``is_t_lex_ideal``).
     total = 1
     prev = 1 - t  # i_0, placed so that level 1 follows the same rule
-    for k, i in enumerate(m, 1):
-        top = n - (d - k + 1) * (t - 1) - prev
-        total += comb(top, d - k + 1) - comb(top - (i - prev - t), d - k + 1)
+    for k, i in enumerate(head, 1):
+        if i - prev > t:
+            top = n - (d - k + 1) * (t - 1) - prev
+            total += comb(top, d - k + 1) - comb(top - (i - prev - t), d - k + 1)
         prev = i
     return total
 

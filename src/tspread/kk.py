@@ -61,7 +61,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import comb
-from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Context,
@@ -80,6 +79,10 @@ from .construct import (
     is_t_ss_ideal,
 )
 from .count import BinomialTerm, binomial, card_veronese
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Iterator, Sequence
 
 
 def ft_vector(ideal: MonomialIdeal) -> list[int]:

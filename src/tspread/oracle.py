@@ -10,8 +10,6 @@ with more than ``N_LIMIT`` variables.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 from .core import (
     Context,
     Monomial,
@@ -19,6 +17,10 @@ from .core import (
     require_t_spread,
     validate_monomial,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Sequence
 
 N_LIMIT = 20
 

@@ -23,7 +23,7 @@ from conftest import (
 )
 import tspread
 from tspread import cli, construct, core, kk
-from tspread.betti import extremal_corners
+from tspread.betti import CornerConfig, extremal_corners
 from tspread.cli import (
     COMMANDS,
     FORCE_LIMIT,
@@ -374,6 +374,21 @@ class TestErrors:
         code, out, _ = run(capsys, "realize-betti", "--n", "25", "--t", "3",
                            "6,2=2", "5,4=1", "4,5=3", "3,7=2")
         assert code == 0 and len(out.splitlines()) - 2 >= 2 * 8
+
+    def test_realized_guard_leaves_infeasible_corners_to_the_kernel(self, capsys):
+        # a top index past n and a value past the corner's candidates get the
+        # kernel's own messages, at once, not a size refusal
+        start = time.perf_counter()
+        assert run(capsys, "realize-betti", "--n", "60", "--t", "1", "30,70=1000000") == (
+            1, "", "error: corner (30,70) needs variable index 100, beyond n=60\n")
+        assert run(capsys, "realize-betti", "--n", "25", "--t", "3", "6,2=1000000") == (
+            1, "", "error: corner (6,2) admits only 7 free monomials, cannot reach value 1000000\n")
+        assert time.perf_counter() - start < 1.0
+        # the guard counts each corner at most its candidates: exact when it
+        # asks for all of them, (1,3) and (2,3) with top index 3 here
+        assert COMMANDS["realize-betti"].size(CornerConfig(((1, 2),), (5,)), Context(9, 1)) == 4
+        assert run(capsys, "realize-betti", "--n", "9", "--t", "1", "1,2=2") == (
+            0, "basic monomials:\n1,3\n2,3\nminimal generators:\n1,2\n1,3\n2,3\n", "")
 
     def test_strongly_stable_guard_is_immediate(self, capsys):
         start = time.perf_counter()
@@ -1146,6 +1161,18 @@ def test_success_loads_no_parser_modules():
         f"print(status, ','.join(m for m in {HEAVY_MODULES + PARSER_MODULES} if m in sys.modules))"
     )
     assert python_without_site(code) == "42\n0 \n"
+
+
+def test_typing_stays_out_of_the_command_line():
+    # annotations name typing's members only under TYPE_CHECKING, so neither
+    # typing nor the re it imports is loaded, by the import or by a call
+    # that succeeds: without site they were most of what an import cost
+    code = (
+        "import sys, tspread.cli; loaded = lambda: [m for m in ('typing', 're') if m in sys.modules]; "
+        "before = loaded(); status = tspread.cli.main(['count-ss', '--n', '13', '--t', '2', '2,5,8,11']); "
+        "print(status, before, loaded())"
+    )
+    assert python_without_site(code) == "42\n0 [] []\n"
 
 
 def test_usage_error_loads_the_parser():

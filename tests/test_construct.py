@@ -37,7 +37,14 @@ from tspread.core import (
     require_t_spread,
     validate_monomial,
 )
-from tspread.count import _ss_seg_size, card_veronese, count_t_lex_mon, count_t_ss_mon
+from tspread.count import (
+    _lex_count,
+    _ss_seg_size,
+    card_veronese,
+    count_t_lex_mon,
+    count_t_ss_mon,
+    iter_lex_count_terms,
+)
 from tspread.construct import (
     is_t_lex_ideal,
     is_t_lex_seg,
@@ -750,6 +757,28 @@ def test_batch_check_starts_no_collection():
         gc.callbacks.remove(count)
 
 
+def test_valid_sets_take_the_batch_check_only(monkeypatch):
+    # tuples of exact ints in [1, n], t-spread, in any order, with repeats
+    # and of several degrees: the batch check certifies them all, so no
+    # member is validated on its own
+    ctx = Context(12, 2)
+    one = t_ss_mon((3, 7, 11), ctx)
+    mixed = one[::-1] + one[:5] + t_ss_mon((2, 6), ctx) + [(4,), ()]
+    calls = [
+        is_t_lex_seg, is_t_ss_seg, is_t_ss_set, t_shadow_set, t_ss_set,
+        lambda ms, ctx: MonomialIdeal(ctx, [m for m in ms if m]).gens,
+    ]
+    want = [[call(ms, ctx) for call in calls] for ms in (one, mixed)]
+
+    def refuse(*_):
+        raise AssertionError("validated member by member")
+
+    monkeypatch.setattr("tspread.core._least_gap", refuse)
+    monkeypatch.setattr(construct, "validate_monomial", refuse)
+    monkeypatch.setattr(construct, "require_t_spread", refuse)
+    assert [[call(ms, ctx) for call in calls] for ms in (one, mixed)] == want
+
+
 def member_shadows(monomials, ctx):
     """The shadow set member by member: each shadow built, deduplicated by a set."""
     return sorted({w for u in monomials for w in t_shadow(u, ctx)})
@@ -1073,6 +1102,66 @@ def test_is_t_lex_ideal_matches_oracle_slices(n, t):
         members = [reduce(or_, (multiples[g][k] for g in ideal.gens)) for k in range(len(slices))]
         # a slice is initial when its members hold the lowest ranks, x + 1 a power of 2
         assert is_t_lex_ideal(ideal) == all(x & (x + 1) == 0 for x in members), ideal.gens
+
+
+def built_is_t_lex_ideal(ideal):
+    """``is_t_lex_ideal`` as it was before the head count: each degree's
+    slex-least split member built whole, then counted by ``count_t_lex_mon``."""
+    ctx = ideal.ctx
+    n, t = ctx.n, ctx.t
+    shapes = construct._shapes(ideal)
+    last = {(len(g), g[-1]): g for g in ideal.gens}
+    for k in range(1, ctx.max_degree() + 1):
+        members = construct._ek_members(shapes, k, ctx)
+        if not members:
+            continue
+        least = max(
+            g + tuple(range(n - (k - d - 1) * t, n + 1, t))
+            for (d, top), g in last.items()
+            if d <= k and n - (k - d - 1) * t >= top + t
+        )
+        if count_t_lex_mon(least, ctx) != members:
+            return False
+    return True
+
+
+def lex_count_cases(ideal):
+    """The ideal, its closure and, when its vector admits one, its lex ideal."""
+    closed = t_ss_ideal(ideal)
+    cases = [ideal, closed]
+    if kk.is_ft_vector(kk.ft_vector(closed), closed.ctx):
+        cases.append(kk.t_lex_ideal_of(closed))
+    return cases
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ideal=spread_ideals(n_max=16, d_max=5, gens_max=5))
+def test_lex_test_matches_the_built_least_member(ideal):
+    # the small-ideal grids check the verdicts against the oracle
+    # (test_is_t_lex_ideal_matches_oracle_slices); here larger rings, and
+    # with each ideal its closure and its lex ideal, a True verdict
+    n, t = ideal.ctx.n, ideal.ctx.t
+    for case in lex_count_cases(ideal):
+        assert is_t_lex_ideal(case) == built_is_t_lex_ideal(case), case.gens
+        # the head count is the whole member's, summed term by term, in
+        # every degree it reaches
+        for g in case.gens:
+            for k in range(len(g) + 1, case.ctx.max_degree() + 1):
+                pad = tuple(range(n - (k - len(g) - 1) * t, n + 1, t))
+                if pad[0] >= g[-1] + t:
+                    want = sum(iter_lex_count_terms(g + pad, case.ctx))
+                    assert _lex_count(g + pad[:1], k, n, t) == want
+
+
+def test_lex_test_is_linear_in_the_degrees():
+    # (x_1) at n = 5 000, t = 1: 5 000 degrees.  Building each degree's
+    # least member and counting it level by level took 13.9 s; counting
+    # its head takes a few binomials per degree.
+    ctx = Context(5000, 1)
+    ideal = MonomialIdeal(ctx, [(1,)])
+    start = time.perf_counter()
+    assert is_t_lex_ideal(ideal)
+    assert time.perf_counter() - start < 8.0
 
 
 @pytest.mark.parametrize("n,t", CLOSURE_RINGS)
