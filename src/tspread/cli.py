@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import chain
+from itertools import chain, groupby
 from operator import mod
 
 from . import betti, construct, core, count, kk, oracle
@@ -234,10 +234,19 @@ def _closure_size(ideal: MonomialIdeal, ctx: Context) -> int:
     """An upper bound on the generators the closure emits.
 
     Each is in the strongly stable set of an input generator of its degree,
-    so the sizes of those sets, counted without building them, bound it.
+    so the sizes of those sets, counted without building them, bound it, and
+    so does its degree's slice: a degree's sum stops at that cap.
     """
     core.require_t_spread_ideal(ideal)
-    return sum(count._ss_size(g, ctx.t) for g in ideal.gens)
+    total = 0
+    for d, gens in groupby(ideal.gens, len):  # generators come in degree order
+        cap, size = count.card_veronese(d, ctx), 0
+        for g in gens:
+            size += count._ss_size(g, ctx.t)
+            if size >= cap:
+                break
+        total += min(size, cap)
+    return total
 
 
 def _shadow_size(ms: list[Monomial], ctx: Context) -> int:

@@ -80,7 +80,7 @@ from .core import (
     require_t_spread_ideal,
     validate_monomial,
 )
-from .count import _lex_count, _ss_seg_size, _ss_size, binomial, card_veronese, count_t_lex_mon
+from .count import _lex_count, _ss_seg_size, _ss_size, binomial
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -321,7 +321,7 @@ def t_next_lex(u: Sequence[int], ctx: Context) -> Monomial | None:
 
 def iter_veronese(d: int, ctx: Context) -> Iterator[Monomial]:
     """All t-spread monomials of degree d, lazily, descending in slex."""
-    if d and 1 + (d - 1) * ctx.t > ctx.n:
+    if d > ctx.max_degree():
         return
     w: Monomial | None = max_mon(d, ctx)
     while w is not None:
@@ -335,10 +335,9 @@ def t_veronese(d: int, ctx: Context) -> list[Monomial]:
 
 
 def _veronese_walks(d: int, ctx: Context) -> _Walks:
-    if d and 1 + (d - 1) * ctx.t > ctx.n:
+    if d > ctx.max_degree():
         return _Walks([], lambda: 0)
-    span = _lex_span(max_mon(d, ctx), min_mon(d, ctx), ctx)
-    return _Walks([span], lambda: card_veronese(d, ctx))
+    return _lex_interval(max_mon(d, ctx), min_mon(d, ctx), ctx)
 
 
 def t_veronese_ideal(d: int, ctx: Context) -> MonomialIdeal:
@@ -374,12 +373,11 @@ def _lex_mon_walks(u: Sequence[int], ctx: Context) -> _Walks:
 
 
 def _lex_interval(top: Monomial, bottom: Monomial, ctx: Context) -> _Walks:
-    # the slex interval from top down to bottom, sized by the lex sets of its
-    # ends; the unit monomial's is {1}
-    return _Walks(
-        [_lex_span(top, bottom, ctx)],
-        lambda: count_t_lex_mon(bottom, ctx) - count_t_lex_mon(top, ctx) + 1 if top else 1,
-    )
+    # the slex interval from top down to bottom, sized by the rank difference
+    # of its ends as ``is_t_lex_seg`` counts it: 1 for the unit monomial
+    d, n, t = len(top), ctx.n, ctx.t
+    return _Walks([_lex_span(top, bottom, ctx)],
+                  lambda: _lex_count(bottom, d, n, t) - _lex_count(top, d, n, t) + 1)
 
 
 def _slices(

@@ -42,7 +42,7 @@ if TYPE_CHECKING:
     _T = TypeVar("_T")
 
 Monomial = tuple[int, ...]
-_INT = frozenset((int,))  # ``contains``'s exact-int test, built once
+_INT, _TUPLE = frozenset((int,)), frozenset((tuple,))  # exact-type tests, built once
 
 
 class TSpreadError(ValueError):
@@ -234,7 +234,7 @@ def max_mon(d: int, ctx: Context) -> Monomial:
     """Slex-greatest t-spread monomial of degree d: indices 1, 1+t, ..., 1+(d-1)t."""
     if d < 0:
         raise TSpreadError("degree must be nonnegative")
-    if d and 1 + (d - 1) * ctx.t > ctx.n:
+    if d > ctx.max_degree():
         raise EmptyVeroneseError(
             f"no t-spread monomial of degree {d} for n={ctx.n}, t={ctx.t}"
         )
@@ -242,14 +242,9 @@ def max_mon(d: int, ctx: Context) -> Monomial:
 
 
 def min_mon(d: int, ctx: Context) -> Monomial:
-    """Slex-least t-spread monomial of degree d: indices n-(d-1)t, ..., n-t, n."""
-    if d < 0:
-        raise TSpreadError("degree must be nonnegative")
-    if d and 1 + (d - 1) * ctx.t > ctx.n:
-        raise EmptyVeroneseError(
-            f"no t-spread monomial of degree {d} for n={ctx.n}, t={ctx.t}"
-        )
-    return tuple(ctx.n - (d - 1 - q) * ctx.t for q in range(d))
+    """Slex-least t-spread monomial of degree d: indices n-(d-1)t, ..., n-t, n,
+    ``max_mon`` mirrored by i -> n + 1 - i, whose degree check it shares."""
+    return tuple(ctx.n + 1 - i for i in reversed(max_mon(d, ctx)))
 
 
 def minimalize(gens: Iterable[Sequence[int]]) -> list[Monomial]:
@@ -331,7 +326,8 @@ def _batch(
     # give their distinct members as ``_groups`` lists them in sets, and the
     # least adjacent column gap, ctx.t below degree 2.  Anything else gives
     # None, and the caller checks it member by member, in input order.
-    if set(map(type, items)) - {tuple} or set(map(type, chain.from_iterable(items))) - {int}:
+    if not (_TUPLE.issuperset(map(type, items))
+            and _INT.issuperset(map(type, chain.from_iterable(items)))):
         return None
     groups = list(_groups(items, set))
     cols = [c for _, _, c in groups]

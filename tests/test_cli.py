@@ -22,7 +22,7 @@ from conftest import (
     small_closures,
 )
 import tspread
-from tspread import cli, construct, core, kk
+from tspread import cli, construct, core, count, kk
 from tspread.betti import CornerConfig, extremal_corners
 from tspread.cli import (
     COMMANDS,
@@ -533,8 +533,33 @@ class TestErrors:
             raise AssertionError("the t-spread test of the guards ran again")
 
         monkeypatch.setattr(core, "_spread_gaps", refuse)
-        assert _closure_size(ideal, ctx) > FORCE_LIMIT
+        # each degree's sum capped at its slice: C(37, 4) + C(36, 5)
+        assert _closure_size(ideal, ctx) == 443037 == comb(37, 4) + comb(36, 5)
         assert _ring(ideal, ctx) == 0
+
+    def test_closure_guard_stops_each_degree_at_its_slice(self, capsys, monkeypatch):
+        # the n = 40 closure's own 129 913 lines: the guard stops summing a
+        # degree once its sum reaches the slice, so it counts few generators'
+        # Borel sets, and ss-ideal prints the lines back without --force
+        ctx = Context(40, 2)
+        closed = construct.t_ss_ideal(
+            MonomialIdeal(ctx, [(5, 12, 20, 30, 38), (3, 9, 18, 27), (7, 15, 25, 33, 40)]))
+        lines = "".join(format_monomial(g) + "\n" for g in closed.gens)
+        calls = []
+        ss_size = count._ss_size
+
+        def counted(m, t):
+            calls.append(m)
+            return ss_size(m, t)
+
+        monkeypatch.setattr(count, "_ss_size", counted)
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        assert _closure_size(cli._ideal("-", ctx, pytest.fail), ctx) < FORCE_LIMIT
+        assert 0 < len(calls) < len(closed.gens) // 100
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, err = run(capsys, "ss-ideal", "--n", "40", "--t", "2")
+        assert code == 0 and not err
+        assert out == lines and out.count("\n") == 129913
 
     @pytest.mark.parametrize(
         "argv, message",

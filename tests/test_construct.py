@@ -6,7 +6,7 @@ from itertools import combinations
 from operator import or_
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -670,6 +670,8 @@ def per_member_slices(monomials, ctx, check):
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
+# t-spread once converted, but of other exact types: a bool and a float index
+@example(case=([(1, 4), (True, 4), (2, 5.0)], Context(6, 2)))
 @given(case=slice_inputs())
 def test_batch_slice_check_matches_member_by_member(case):
     members, ctx = case

@@ -19,6 +19,7 @@ from conftest import (
     spread_monomials,
 )
 from tspread.betti import BettiTable, CornerConfig, graded_betti
+from tspread.construct import iter_veronese
 from tspread.core import (
     Context,
     EmptyVeroneseError,
@@ -282,6 +283,30 @@ class TestExtremes:
             max_mon(4, Context(7, 3))
         with pytest.raises(EmptyVeroneseError):
             min_mon(4, Context(7, 3))
+
+    @pytest.mark.parametrize("n, t", [(1, 1), (1, 3), (5, 1), (7, 3), (9, 2), (10, 4), (12, 12)])
+    def test_degree_checks_at_the_slice_edges(self, n, t):
+        # d = -1, 0, D and D + 1: the packed ends, both refusals with their
+        # exact types and messages, and the empty slice past D
+        ctx = Context(n, t)
+        top = ctx.max_degree()
+        assert 1 + (top - 1) * t <= n < 1 + top * t
+        for extreme in (max_mon, min_mon):
+            with pytest.raises(TSpreadError) as excinfo:
+                extreme(-1, ctx)
+            assert type(excinfo.value) is TSpreadError
+            assert str(excinfo.value) == "degree must be nonnegative"
+            with pytest.raises(EmptyVeroneseError) as excinfo:
+                extreme(top + 1, ctx)
+            assert type(excinfo.value) is EmptyVeroneseError
+            assert str(excinfo.value) == f"no t-spread monomial of degree {top + 1} for n={n}, t={t}"
+            assert extreme(0, ctx) == ()
+        assert max_mon(top, ctx) == tuple(1 + q * t for q in range(top))
+        assert min_mon(top, ctx) == tuple(n - (top - 1 - q) * t for q in range(top))
+        assert list(iter_veronese(top + 1, ctx)) == []
+        assert next(iter_veronese(top, ctx)) == max_mon(top, ctx)
+        with pytest.raises(TSpreadError, match="degree must be nonnegative"):
+            next(iter_veronese(-1, ctx))
 
 
 class TestMinimalize:
